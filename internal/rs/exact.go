@@ -43,6 +43,7 @@ func ExactBB(an *Analysis, maxLeaves int64) (*RSResult, *ExactStats, error) {
 	stats := &ExactStats{UpperBound: nv}
 
 	ik := NewIncremental(an)
+	defer ik.release() // results are copied out of ik before returning
 	// Branch only on multi-choice values, most-constrained (fewest killers)
 	// first; single-choice killers are fixed up front (they push no arcs, so
 	// they can never fail, but their order pairs participate in every bound).

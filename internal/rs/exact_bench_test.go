@@ -87,3 +87,34 @@ func BenchmarkGreedyK(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGreedyLarge measures Greedy-k on 600–1000-node random blocks, the
+// sizes the daemon serves with the heuristic because exact RS is out of
+// reach. Allocations are reported: the evaluator's working matrix is pooled,
+// so a steady-state run should allocate far less than n²·8 bytes per graph.
+func BenchmarkGreedyLarge(b *testing.B) {
+	rng := rand.New(rand.NewSource(1000))
+	var cases []*Analysis
+	for _, n := range []int{600, 800, 1000} {
+		p := ddg.DefaultRandomParams(n)
+		p.EdgeProb = 6.0 / float64(n)
+		p.Types = []ddg.RegType{ddg.Int, ddg.Float}
+		g := ddg.RandomGraph(rng, p)
+		for _, typ := range g.Types() {
+			an, err := NewAnalysis(g, typ)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cases = append(cases, an)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, an := range cases {
+			if _, err := Greedy(an); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -55,6 +55,7 @@ func GreedyWithScoring(an *Analysis, scoring GreedyScoring) (*RSResult, error) {
 	// enforcement arcs, but their induced order pairs participate in the
 	// scoring of every later decision).
 	ik := NewIncremental(an)
+	defer ik.release() // results are copied out of ik before returning
 	for i := 0; i < nv; i++ {
 		if len(an.PKill[i]) == 1 {
 			ik.Push(i, an.PKill[i][0])

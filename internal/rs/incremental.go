@@ -2,6 +2,7 @@ package rs
 
 import (
 	"math/bits"
+	"sync"
 
 	"regsat/internal/graph"
 )
@@ -24,15 +25,20 @@ import (
 //
 // Compared to the previous per-node rebuild (a fresh digraph plus a full
 // LongestAllPairs and matching solve per leaf and per bound evaluation), a
-// Push costs O(|srcs|·|dsts|) per arc plus the Kuhn augmentations its new
-// pairs admit, and a Pop is a plain undo-log replay.
+// Push costs O(|srcs|·|dsts|) per arc plus one Kuhn sweep over the unmatched
+// vertices, and a Pop is a plain undo-log replay: matrix cells and matching
+// edges are logged as they are overwritten and restored in reverse order.
+//
+// The only O(n²) allocation is the matrix d, taken from a package pool;
+// the search drivers hand it back with release once their result is out.
+// An evaluator that is never released is simply left to the collector.
 //
 // An Incremental is single-goroutine; the snapshot it reads from is shared.
 type Incremental struct {
 	an *Analysis
 	n  int     // node count
 	nv int     // value count
-	d  []int64 // n×n row-major longest-path matrix of the current extension
+	d  []int64 // n×n row-major longest-path matrix of the current extension (pooled)
 
 	decided  []int   // killer node per value, -1 = undecided
 	byKiller [][]int // node → stack of decided value indices using it as killer
@@ -48,7 +54,7 @@ type Incremental struct {
 	// augmentation from the unmatched vertices restores maximality.
 	matchL, matchR []int
 	matchSize      int
-	rightSeen      []int64 // Kuhn DFS marks, stamped
+	rightSeen      []int64 // Kuhn DFS marks, restamped per sweep and per augmentation
 	seenStamp      int64
 
 	valIndex []int   // node → value index, -1 for non-values
@@ -58,22 +64,25 @@ type Incremental struct {
 	trail      []frame
 	cellArena  []cellDelta
 	bitArena   []bitDelta
-	matchArena []int
-
-	// Cell-change dedup within one Push: touched[idx] == epoch marks a cell
-	// whose pre-Push value is already on the frame.
-	touched []int64
-	epoch   int64
+	matchArena []matchDelta
 
 	srcs, dsts []int32 // scratch for delta propagation
 }
 
+// cellDelta records one overwrite of matrix cell idx. A cell raised by
+// several arcs of one Push is logged once per write, so restoring a frame's
+// deltas in reverse order ends on the pre-Push value.
 type cellDelta struct {
 	idx int
 	old int64
 }
 
 type bitDelta struct{ i, j int32 }
+
+// matchDelta records one matching edge flip a→b of a Kuhn augmentation with
+// the partners it replaced; replaying a frame's flips in reverse restores
+// the matching it started from.
+type matchDelta struct{ a, oldL, b, oldR int32 }
 
 // frame marks one decision on the undo trail. The deltas live in shared
 // arenas on the evaluator (cellArena, bitArena, matchArena), each frame
@@ -83,8 +92,31 @@ type frame struct {
 	value, killer int
 	cellStart     int
 	bitStart      int
-	matchStart    int // offset into matchArena, -1 when no snapshot was taken
+	matchStart    int
 	oldMatchSize  int
+}
+
+// matrixPool recycles the n²·8-byte working matrices across evaluators. A
+// pooled matrix needs no clearing: NewIncremental overwrites every cell.
+var matrixPool sync.Pool // of *[]int64
+
+func pooledMatrix(size int) []int64 {
+	if p, ok := matrixPool.Get().(*[]int64); ok && cap(*p) >= size {
+		return (*p)[:size]
+	}
+	return make([]int64, size)
+}
+
+// release returns the working matrix to the pool. The evaluator must not be
+// used afterwards; the search drivers defer it once their results no longer
+// read the matrix.
+func (ik *Incremental) release() {
+	if ik.d == nil {
+		return
+	}
+	d := ik.d
+	ik.d = nil
+	matrixPool.Put(&d)
 }
 
 // NewIncremental creates an evaluator positioned at the empty decision (no
@@ -96,14 +128,13 @@ func NewIncremental(an *Analysis) *Incremental {
 		an:       an,
 		n:        n,
 		nv:       nv,
-		d:        make([]int64, n*n),
+		d:        pooledMatrix(n * n),
 		decided:  make([]int, nv),
 		byKiller: make([][]int, n),
 		less:     make([]graph.BitSet, nv),
 		valIndex: make([]int, n),
 		delayR:   make([]int64, n),
 		delayW:   make([]int64, nv),
-		touched:  make([]int64, n*n),
 	}
 	for u := 0; u < n; u++ {
 		copy(ik.d[u*n:(u+1)*n], an.AP.D[u])
@@ -142,37 +173,33 @@ func (ik *Incremental) Killers() []int {
 // killing function, possible on VLIW/EPIC offsets only).
 func (ik *Incremental) Push(i, killer int) bool {
 	fr := frame{value: i, killer: killer,
-		cellStart: len(ik.cellArena), bitStart: len(ik.bitArena), matchStart: -1}
-	ik.epoch++
+		cellStart: len(ik.cellArena), bitStart: len(ik.bitArena),
+		matchStart: len(ik.matchArena), oldMatchSize: ik.matchSize}
 	for _, other := range ik.an.PKill[i] {
 		if other == killer {
 			continue
 		}
 		if !ik.addArc(other, killer, ik.delayR[other]-ik.delayR[killer]) {
 			// Cycle: undo the cells of the arcs already applied.
-			for _, c := range ik.cellArena[fr.cellStart:] {
-				ik.d[c.idx] = c.old
-			}
-			ik.cellArena = ik.cellArena[:fr.cellStart]
+			ik.restoreCells(fr.cellStart)
 			return false
 		}
 	}
 	ik.updateOrder(i, killer, &fr)
 	if len(ik.bitArena) > fr.bitStart {
-		// New comparability edges: snapshot the matching, then restore
-		// maximality with one Kuhn pass from the unmatched left vertices
-		// (a vertex with no augmenting path before other augmentations has
-		// none after them either, so one attempt each suffices).
-		fr.matchStart = len(ik.matchArena)
-		fr.oldMatchSize = ik.matchSize
-		ik.matchArena = append(ik.matchArena, ik.matchL...)
-		ik.matchArena = append(ik.matchArena, ik.matchR...)
+		// New comparability edges: restore maximality with one Kuhn sweep
+		// from the unmatched left vertices (a vertex with no augmenting path
+		// before other augmentations has none after them either, so one
+		// attempt each suffices). The right-vertex marks are shared across
+		// the sweep's failed attempts: a failed DFS leaves only right
+		// vertices with no alternating path to a free one, so later attempts
+		// may skip them and still find the same paths. Only a successful
+		// augmentation changes the matching and so needs fresh marks.
+		ik.seenStamp++
 		for a := 0; a < ik.nv; a++ {
-			if ik.matchL[a] < 0 {
+			if ik.matchL[a] < 0 && ik.kuhnAugment(a) {
+				ik.matchSize++
 				ik.seenStamp++
-				if ik.kuhnAugment(a) {
-					ik.matchSize++
-				}
 			}
 		}
 	}
@@ -191,25 +218,34 @@ func (ik *Incremental) Pop() {
 		ik.less[b.i].Clear(int(b.j))
 	}
 	ik.bitArena = ik.bitArena[:fr.bitStart]
-	for _, c := range ik.cellArena[fr.cellStart:] {
-		ik.d[c.idx] = c.old
+	ik.restoreCells(fr.cellStart)
+	for k := len(ik.matchArena) - 1; k >= fr.matchStart; k-- {
+		m := ik.matchArena[k]
+		ik.matchL[m.a] = int(m.oldL)
+		ik.matchR[m.b] = int(m.oldR)
 	}
-	ik.cellArena = ik.cellArena[:fr.cellStart]
-	if fr.matchStart >= 0 {
-		copy(ik.matchL, ik.matchArena[fr.matchStart:fr.matchStart+ik.nv])
-		copy(ik.matchR, ik.matchArena[fr.matchStart+ik.nv:fr.matchStart+2*ik.nv])
-		ik.matchSize = fr.oldMatchSize
-		ik.matchArena = ik.matchArena[:fr.matchStart]
-	}
+	ik.matchArena = ik.matchArena[:fr.matchStart]
+	ik.matchSize = fr.oldMatchSize
 	ik.decided[fr.value] = -1
 	s := ik.byKiller[fr.killer]
 	ik.byKiller[fr.killer] = s[:len(s)-1]
 	ik.depth--
 }
 
+// restoreCells undoes the matrix writes logged from cellArena[start:], newest
+// first, and truncates the log.
+func (ik *Incremental) restoreCells(start int) {
+	for k := len(ik.cellArena) - 1; k >= start; k-- {
+		c := ik.cellArena[k]
+		ik.d[c.idx] = c.old
+	}
+	ik.cellArena = ik.cellArena[:start]
+}
+
 // kuhnAugment searches an augmenting path from unmatched left vertex a over
 // the order's comparability edges (the bitset rows), flipping the matching
-// along it. Right-vertex marks are stamped per attempt.
+// along it and logging each flip on matchArena. Right-vertex marks carry the
+// current seenStamp; Push decides when they are reset.
 func (ik *Incremental) kuhnAugment(a int) bool {
 	for wi, w := range ik.less[a] {
 		for w != 0 {
@@ -220,6 +256,8 @@ func (ik *Incremental) kuhnAugment(a int) bool {
 			}
 			ik.rightSeen[b] = ik.seenStamp
 			if ik.matchR[b] < 0 || ik.kuhnAugment(ik.matchR[b]) {
+				ik.matchArena = append(ik.matchArena,
+					matchDelta{int32(a), int32(ik.matchL[a]), int32(b), int32(ik.matchR[b])})
 				ik.matchL[a] = b
 				ik.matchR[b] = a
 				return true
@@ -278,8 +316,8 @@ func (ik *Incremental) AntichainMembers() []int {
 // addArc merges one enforcement arc a→b of weight w into the matrix. A new
 // longest path through the arc decomposes as u ⇝ a, (a,b), b ⇝ v with both
 // halves in the pre-arc graph, so the update is exact per arc and arcs of
-// one Push compose by sequential application. Returns false on a cycle
-// (b already reaches a).
+// one Push compose by sequential application. Every raised cell is logged,
+// once per write. Returns false on a cycle (b already reaches a).
 func (ik *Incremental) addArc(a, b int, w int64) bool {
 	n := ik.n
 	if ik.d[b*n+a] != graph.NoPath {
@@ -305,11 +343,7 @@ func (ik *Incremental) addArc(a, b int, w int64) bool {
 		for _, v32 := range ik.dsts {
 			v := int(v32)
 			if cand := base + rowB[v]; cand > rowU[v] {
-				idx := u*n + v
-				if ik.touched[idx] != ik.epoch {
-					ik.touched[idx] = ik.epoch
-					ik.cellArena = append(ik.cellArena, cellDelta{idx: idx, old: rowU[v]})
-				}
+				ik.cellArena = append(ik.cellArena, cellDelta{idx: u*n + v, old: rowU[v]})
 				rowU[v] = cand
 			}
 		}
@@ -320,7 +354,9 @@ func (ik *Incremental) addArc(a, b int, w int64) bool {
 // updateOrder extends the DV_k bitset rows after the arcs of a decision have
 // been merged: the freshly decided value gets its full row, and rows of
 // earlier decisions gain exactly the pairs whose deciding longest path grew
-// (found from the changed cells, not by rescanning the matrix).
+// (found from the changed cells, not by rescanning the matrix). A cell logged
+// more than once is read at its final value each time, so its repeats set
+// no new bits.
 func (ik *Incremental) updateOrder(i, killer int, fr *frame) {
 	n := ik.n
 	// Pairs of previously decided values whose lp(k(i′), v_j) changed.

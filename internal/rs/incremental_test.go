@@ -1,6 +1,7 @@
 package rs
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -208,15 +209,97 @@ func TestIncrementalMatchesRebuildRandom(t *testing.T) {
 	}
 }
 
-// TestIncrementalPushPopRestores checks that a Pop restores the evaluator —
-// longest-path matrix and order rows — exactly to its pre-Push state, across
-// random push/pop sequences.
+// ikState is a deep copy of every structure Pop and a rejected Push must
+// restore: the longest-path matrix, the order rows, the matching, the
+// killer assignment, and the undo-log lengths.
+type ikState struct {
+	d                  []int64
+	less               [][]uint64
+	matchL, matchR     []int
+	killers            []int
+	matchSize, bound   int
+	depth              int
+	cells, bits, flips int
+}
+
+func snapshotState(ik *Incremental) ikState {
+	st := ikState{
+		d:         append([]int64(nil), ik.d...),
+		matchL:    append([]int(nil), ik.matchL...),
+		matchR:    append([]int(nil), ik.matchR...),
+		killers:   ik.Killers(),
+		matchSize: ik.matchSize,
+		bound:     ik.Bound(),
+		depth:     ik.Depth(),
+		cells:     len(ik.cellArena),
+		bits:      len(ik.bitArena),
+		flips:     len(ik.matchArena),
+	}
+	for _, row := range ik.less {
+		st.less = append(st.less, append([]uint64(nil), row...))
+	}
+	return st
+}
+
+// requireState fails unless ik is exactly in state want.
+func requireState(t *testing.T, ik *Incremental, want ikState, where string) {
+	t.Helper()
+	for idx, v := range ik.d {
+		if v != want.d[idx] {
+			t.Fatalf("%s: matrix cell (%d,%d) = %d, want %d", where, idx/ik.n, idx%ik.n, v, want.d[idx])
+		}
+	}
+	for i, row := range ik.less {
+		for w := range row {
+			if row[w] != want.less[i][w] {
+				t.Fatalf("%s: order row %d word %d = %#x, want %#x", where, i, w, row[w], want.less[i][w])
+			}
+		}
+	}
+	for a := range ik.matchL {
+		if ik.matchL[a] != want.matchL[a] || ik.matchR[a] != want.matchR[a] {
+			t.Fatalf("%s: matching at %d: L=%d R=%d, want L=%d R=%d",
+				where, a, ik.matchL[a], ik.matchR[a], want.matchL[a], want.matchR[a])
+		}
+	}
+	for i, k := range ik.Killers() {
+		if k != want.killers[i] {
+			t.Fatalf("%s: killer of value %d = %d, want %d", where, i, k, want.killers[i])
+		}
+	}
+	if ik.matchSize != want.matchSize || ik.Bound() != want.bound || ik.Depth() != want.depth {
+		t.Fatalf("%s: matchSize/Bound/Depth = %d/%d/%d, want %d/%d/%d",
+			where, ik.matchSize, ik.Bound(), ik.Depth(), want.matchSize, want.bound, want.depth)
+	}
+	if len(ik.cellArena) != want.cells || len(ik.bitArena) != want.bits || len(ik.matchArena) != want.flips {
+		t.Fatalf("%s: undo logs hold %d/%d/%d entries, want %d/%d/%d", where,
+			len(ik.cellArena), len(ik.bitArena), len(ik.matchArena), want.cells, want.bits, want.flips)
+	}
+}
+
+// TestIncrementalPushPopRestores checks, across random push/pop sequences,
+// that every Pop restores the evaluator — matrix, order rows, matching,
+// killer assignment, bound and undo logs — exactly to the state before its
+// Push, and that a rejected Push leaves that state untouched. The last 15
+// trials use larger, sparser VLIW graphs, and the test requires the hard
+// rejection case to occur there: a Push refused by a later arc after its
+// first arc was already merged into the matrix.
 func TestIncrementalPushPopRestores(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		p := ddg.DefaultRandomParams(8 + rng.Intn(4))
-		if trial%2 == 1 {
+	partialRejects := 0
+	for trial := 0; trial < 45; trial++ {
+		var p ddg.RandomParams
+		if trial < 30 {
+			p = ddg.DefaultRandomParams(8 + rng.Intn(4))
+			if trial%2 == 1 {
+				p.Machine = ddg.VLIW
+			}
+		} else {
+			// Larger, sparser VLIW graphs give values three or more
+			// potential killers, so a later arc of a Push can close a cycle.
+			p = ddg.DefaultRandomParams(12 + rng.Intn(8))
 			p.Machine = ddg.VLIW
+			p.EdgeProb = 0.2
 		}
 		g := ddg.RandomGraph(rng, p)
 		for _, typ := range g.Types() {
@@ -225,12 +308,12 @@ func TestIncrementalPushPopRestores(t *testing.T) {
 				t.Fatal(err)
 			}
 			ik := NewIncremental(an)
-			base := append([]int64(nil), ik.d...)
-			type dec struct{ i int }
-			var stack []dec
+			var stack []ikState // pre-Push state of every live decision
 			for step := 0; step < 200; step++ {
+				where := fmt.Sprintf("%s/%s trial %d step %d", g.Name, typ, trial, step)
 				if len(stack) > 0 && rng.Intn(3) == 0 {
 					ik.Pop()
+					requireState(t, ik, stack[len(stack)-1], where+" after Pop")
 					stack = stack[:len(stack)-1]
 					continue
 				}
@@ -246,17 +329,21 @@ func TestIncrementalPushPopRestores(t *testing.T) {
 				}
 				i := undec[rng.Intn(len(undec))]
 				cand := an.PKill[i][rng.Intn(len(an.PKill[i]))]
+				before := snapshotState(ik)
+				firstApplies := firstArcApplies(ik, i, cand)
 				if ik.Push(i, cand) {
-					stack = append(stack, dec{i})
+					stack = append(stack, before)
+					continue
 				}
+				if firstApplies {
+					partialRejects++
+				}
+				requireState(t, ik, before, where+" after rejected Push")
 			}
-			for range stack {
+			for len(stack) > 0 {
 				ik.Pop()
-			}
-			for idx, v := range ik.d {
-				if v != base[idx] {
-					t.Fatalf("%s/%s: matrix cell %d not restored: %d != %d", g.Name, typ, idx, v, base[idx])
-				}
+				requireState(t, ik, stack[len(stack)-1], g.Name+" unwind")
+				stack = stack[:len(stack)-1]
 			}
 			for i := range an.Values {
 				if ik.less[i].Count() != 0 {
@@ -268,6 +355,75 @@ func TestIncrementalPushPopRestores(t *testing.T) {
 			}
 		}
 	}
+	if partialRejects == 0 {
+		t.Fatal("no VLIW Push was rejected after applying an arc: the partial-undo path went untested")
+	}
+	t.Logf("%d Pushes rejected after some of their arcs were applied", partialRejects)
+}
+
+// firstArcApplies reports whether Push(i, killer) would merge its first
+// enforcement arc (and so write at least one matrix cell) before any
+// later arc can reject it.
+func firstArcApplies(ik *Incremental, i, killer int) bool {
+	for _, other := range ik.an.PKill[i] {
+		if other != killer {
+			return ik.d[killer*ik.n+other] == graph.NoPath && ik.d[other*ik.n+killer] == graph.NoPath
+		}
+	}
+	return false
+}
+
+// TestIncrementalRepeatedCellRestores pins the reverse-order cell trail on a
+// Push whose two arcs raise the same cell: value s has potential killers
+// k, o1 and o2, and r reaches o1 in 2 cycles and o2 in 5. Deciding k adds
+// o1→k, raising lp(r, k) from no path to 2, then o2→k, raising it to 5. Pop
+// must end on the pre-Push value, no path, not on the intermediate 2.
+func TestIncrementalRepeatedCellRestores(t *testing.T) {
+	g, err := ddg.ParseString(`ddg "double-raise" machine=superscalar
+node s op=ld lat=1 writes=float
+node r op=op lat=1
+node k op=use lat=1
+node o1 op=use lat=1
+node o2 op=use lat=1
+edge s k flow float
+edge s o1 flow float
+edge s o2 flow float
+edge r o1 serial lat=2
+edge r o2 serial lat=5
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	an, err := NewAnalysis(g, ddg.Float)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(an.Values) != 1 || len(an.PKill[0]) != 3 {
+		t.Fatalf("want one value with 3 potential killers, got PKill %v", an.PKill)
+	}
+	r, k := g.NodeByName("r"), g.NodeByName("k")
+	ik := NewIncremental(an)
+	before := snapshotState(ik)
+	if !ik.Push(0, k) {
+		t.Fatal("Push(s, k) rejected on a superscalar graph")
+	}
+	if got := ik.LongestPath(r, k); got != 5 {
+		t.Fatalf("lp(r, k) after Push = %d, want 5", got)
+	}
+	writes := 0
+	for _, c := range ik.cellArena[ik.trail[0].cellStart:] {
+		if c.idx == r*ik.n+k {
+			writes++
+		}
+	}
+	if writes != 2 {
+		t.Fatalf("cell (r, k) logged %d times, want 2 (one per raising arc)", writes)
+	}
+	ik.Pop()
+	requireState(t, ik, before, "after Pop")
 }
 
 // TestExactBBMatchesReference pins the incremental ExactBB to the retained
