@@ -227,10 +227,9 @@ func BenchmarkRSExactBBKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkMILPSolveBackends contrasts the MILP backends on a corpus graph
-// with ≥ 10 nodes: the dense reference engine, the sparse warm-started
-// best-bound engine sequentially, and the same engine with a parallel tree
-// search. Metrics: branch-and-bound nodes and warm-start rate per solve.
+// BenchmarkMILPSolveBackends contrasts the MILP engine's tree-search widths
+// on a corpus graph with ≥ 10 nodes: sequential, and one worker per CPU.
+// Metrics: branch-and-bound nodes and warm-start rate per solve.
 func BenchmarkMILPSolveBackends(b *testing.B) {
 	g, err := loadBenchGraph("testdata/random-epic-10n-s2006.ddg")
 	if err != nil {
@@ -247,17 +246,14 @@ func BenchmarkMILPSolveBackends(b *testing.B) {
 				b.Fatal(err)
 			}
 			if !res.Exact {
-				b.Fatalf("backend %q did not prove optimality", opt.Backend)
+				b.Fatalf("parallel=%d did not prove optimality", opt.Parallel)
 			}
 			b.ReportMetric(float64(res.Stats.Nodes), "bb-nodes")
 			b.ReportMetric(100*res.Stats.WarmRate(), "warm%")
 		}
 	}
-	b.Run("dense", func(b *testing.B) { run(b, solver.Options{Backend: "dense"}) })
-	b.Run("sparse", func(b *testing.B) { run(b, solver.Options{Backend: "sparse"}) })
-	b.Run("parallel", func(b *testing.B) {
-		run(b, solver.Options{Backend: "parallel", Parallel: runtime.NumCPU()})
-	})
+	b.Run("sparse", func(b *testing.B) { run(b, solver.Options{}) })
+	b.Run("parallel", func(b *testing.B) { run(b, solver.Options{Parallel: runtime.NumCPU()}) })
 }
 
 func loadBenchGraph(path string) (*ddg.Graph, error) {

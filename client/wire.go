@@ -81,13 +81,14 @@ type CyclicSpec struct {
 
 // SolverOptions mirrors regsat.SolverOptions on the wire.
 type SolverOptions struct {
-	// Backend names the MILP engine: "dense", "sparse" (default), "parallel".
+	// Backend names the MILP engine: "sparse", the default and only one;
+	// any other name is rejected with 400.
 	Backend string `json:"backend,omitempty"`
 	// MaxNodes caps explored branch-and-bound nodes (0 = default).
 	MaxNodes int `json:"maxNodes,omitempty"`
 	// TimeLimitMs caps solve wall time (0 = none).
 	TimeLimitMs int64 `json:"timeLimitMs,omitempty"`
-	// Parallel is the tree-search worker count (0 = backend default).
+	// Parallel is the tree-search worker count (0 = 1).
 	Parallel int `json:"parallel,omitempty"`
 }
 

@@ -129,7 +129,7 @@ type solverJSON struct {
 // solverCaseJSON is one backend's solve of one corpus instance. Name and
 // NsOp match the benchcmp per-file schema; the rest is the per-solve
 // instrumentation (branch-and-bound size, simplex work, presolve and cut
-// effect, probing, dense fallbacks).
+// effect, probing, numerical recoveries).
 type solverCaseJSON struct {
 	Name                string `json:"name"` // "graph/type [backend]"
 	Values              int    `json:"values,omitempty"`
@@ -202,7 +202,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxVals  = fs.Int("maxvalues", 12, "skip cases with more values than this (exactness budget)")
 		dir      = fs.String("dir", "testdata", "DDG corpus directory for -exp corpus/solver")
 		parallel = fs.Int("parallel", 0, "worker count for -exp corpus (0 = GOMAXPROCS)")
-		backend  = fs.String("solver", "", "MILP backend for intLP solves: dense|sparse|parallel (default sparse)")
+		backend  = fs.String("solver", "", "MILP backend for intLP solves: sparse (the default and only engine)")
 		profile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		jsonOut  = fs.String("json", "", "write a machine-readable benchmark summary to this file")
 		baseline = fs.String("baseline", "", "previous BENCH.json to compare against; exits non-zero on regression")
@@ -356,12 +356,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, report)
 		fmt.Fprintf(stdout, "[corpus completed in %v]\n\n", elapsed.Round(time.Millisecond))
 	}
+	// recovered is set when a solver case needed numerical recovery; the run
+	// still writes its artifact, then fails.
+	var recovered error
 	if wants["solver"] {
 		start := time.Now()
 		report, sj, err := solverReport(*dir, *maxVals)
 		if err != nil {
 			return fmt.Errorf("solver: %w", err)
 		}
+		recovered = sj.recoveryError()
 		elapsed := time.Since(start)
 		summary.Solver = sj
 		summary.Experiments = append(summary.Experiments, experimentJSON{Name: "solver", WallNs: int64(elapsed)})
@@ -423,7 +427,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	return nil
+	return recovered
+}
+
+// recoveryError fails the solver experiment when any case hit numerical
+// trouble (Stats.Fallbacks > 0). The engine recovers without reporting a
+// wrong optimum, but a recovery can end a solve capped, so on the corpus —
+// where none is expected — it must not pass silently.
+func (sj *solverJSON) recoveryError() error {
+	var cases []string
+	for _, f := range sj.PerFile {
+		if f.Fallbacks > 0 {
+			cases = append(cases, fmt.Sprintf("%s (%d)", f.Name, f.Fallbacks))
+		}
+	}
+	if len(cases) == 0 {
+		return nil
+	}
+	return fmt.Errorf("solver: %d case(s) needed numerical recovery: %s", len(cases), strings.Join(cases, ", "))
 }
 
 // compareBaseline diffs this run against a previous BENCH.json and fails on

@@ -235,3 +235,43 @@ func TestBaselineGate(t *testing.T) {
 		t.Fatalf("no regression verdict in report:\n%s", out)
 	}
 }
+
+// TestSolverExperiment: the solver comparison on the corpus agrees with the
+// combinatorial exact search everywhere, runs the one engine, and needs no
+// numerical recovery.
+func TestSolverExperiment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if _, _, err := runCLI(t, "-exp", "solver", "-dir", "../../testdata", "-maxvalues", "8", "-json", path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b benchJSON
+	if err := json.Unmarshal(raw, &b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Solver == nil || b.Solver.Cases == 0 || b.Solver.Disagree != 0 {
+		t.Fatalf("solver summary: %+v", b.Solver)
+	}
+	for _, f := range b.Solver.PerFile {
+		if !strings.HasSuffix(f.Name, " [sparse]") || f.Error != "" {
+			t.Fatalf("unexpected solver entry %+v", f)
+		}
+	}
+}
+
+// TestSolverRecoveryFailsTheRun: a case that needed numerical recovery
+// fails the experiment, naming the case.
+func TestSolverRecoveryFailsTheRun(t *testing.T) {
+	sj := &solverJSON{PerFile: []solverCaseJSON{{Name: "a/float [sparse]"}, {Name: "b/int [sparse]", Fallbacks: 2}}}
+	err := sj.recoveryError()
+	if err == nil || !strings.Contains(err.Error(), "b/int [sparse] (2)") || strings.Contains(err.Error(), "a/float") {
+		t.Fatalf("recoveryError = %v", err)
+	}
+	sj.PerFile[1].Fallbacks = 0
+	if err := sj.recoveryError(); err != nil {
+		t.Fatalf("clean run failed: %v", err)
+	}
+}

@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		witness  = fs.Bool("witness", false, "print a saturating schedule")
 		parallel = fs.Int("parallel", 0, "worker count for multi-file analysis (0 = GOMAXPROCS)")
 		certify  = fs.Bool("cyclic", false, "certify loop kernels with the exact periodic MILP (small kernels only)")
-		backend  = fs.String("solver", "", "MILP backend for -method ilp: dense|sparse|parallel (default sparse)")
+		backend  = fs.String("solver", "", "MILP backend for -method ilp: sparse (the default and only engine)")
 		stats    = fs.Bool("solver-stats", false, "print per-solve search statistics (MILP nodes/iterations or exact-BB leaves/prunes)")
 		irStats  = fs.Bool("ir-stats", false, "print the analysis-snapshot interner statistics after the run")
 	)

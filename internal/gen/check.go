@@ -34,7 +34,8 @@ import (
 //	                          non-decreased critical path
 //	exact-reduction-certifies an exact reduction's extension truly has
 //	                          exact RS ≤ R (re-proved with ExactBB)
-//	solver-backends-agree     all MILP backends solve the same intLP model,
+//	solver-backends-agree     the sequential and parallel MILP tree searches
+//	                          solve the same intLP model,
 //	                          so every pair of proven answers must be equal
 //	                          and every capped interval must contain every
 //	                          proven answer; against the combinatorial exact
@@ -87,9 +88,6 @@ type CheckOptions struct {
 	// Cheap drops the expensive invariants (arc removal, reductions, solver
 	// backends) — the profile fuzz targets run under their per-exec budget.
 	Cheap bool
-	// Backends overrides the MILP backends to cross-check (nil = all
-	// registered).
-	Backends []string
 }
 
 func (o CheckOptions) withDefaults() CheckOptions {
@@ -104,9 +102,6 @@ func (o CheckOptions) withDefaults() CheckOptions {
 	}
 	if o.MaxRemovals == 0 {
 		o.MaxRemovals = 2
-	}
-	if o.Backends == nil {
-		o.Backends = solver.Names()
 	}
 	return o
 }
@@ -233,7 +228,7 @@ func checkType(ctx context.Context, g *ddg.Graph, t ddg.RegType, opt CheckOption
 		}
 	}
 	if opt.MaxILPValues < 0 || nv <= opt.MaxILPValues {
-		if err := checkSolverBackends(ctx, g, an, exact.RS, opt); err != nil {
+		if err := checkSolverBackends(ctx, g, an, exact.RS); err != nil {
 			return err
 		}
 		if err := checkPresolveAgreement(ctx, g, an); err != nil {
@@ -413,7 +408,16 @@ func checkExactReduction(ctx context.Context, g *ddg.Graph, t ddg.RegType, exact
 	return nil
 }
 
-// checkSolverBackends: all registered MILP backends solve the same intLP
+// solverConfigs are the MILP solver configurations solver-backends-agree
+// cross-checks: the sequential tree search and the parallel one, whose
+// shared incumbent and queue make it a differently scheduled search of the
+// same tree.
+var solverConfigs = []struct {
+	label    string
+	parallel int
+}{{"sparse", 1}, {"sparse/parallel=2", 2}}
+
+// checkSolverBackends: every solver configuration solves the same intLP
 // model, so (a) every pair of proven answers must be equal and every capped
 // interval must contain every proven answer, and (b) against the
 // combinatorial exact search the machine-dependent relation must hold:
@@ -421,26 +425,26 @@ func checkExactReduction(ctx context.Context, g *ddg.Graph, t ddg.RegType, exact
 // over all schedules) may strictly exceed ExactBB (which excludes killings
 // whose enforcement arcs form non-positive circuits), so only
 // ILP ≥ combinatorial is required.
-func checkSolverBackends(ctx context.Context, g *ddg.Graph, an *rs.Analysis, exactRS int, opt CheckOptions) error {
+func checkSolverBackends(ctx context.Context, g *ddg.Graph, an *rs.Analysis, exactRS int) error {
 	type answer struct {
-		backend string
-		res     *rs.Result
+		label string
+		res   *rs.Result
 	}
 	var proven []answer
 	var capped []answer
-	for _, backend := range opt.Backends {
+	for _, cfg := range solverConfigs {
 		res, err := rs.ComputeWithAnalysis(ctx, an, rs.Options{
 			Method:          rs.MethodExactILP,
 			ApplyReductions: true,
 			SkipWitness:     true,
-			Solver:          solver.Options{Backend: backend, MaxNodes: 100_000, TimeLimit: 5 * time.Second},
+			Solver:          solver.Options{Parallel: cfg.parallel, MaxNodes: 100_000, TimeLimit: 5 * time.Second},
 		})
 		if err != nil {
-			return fmt.Errorf("gen: %s/%s: backend %s failed: %w", g.Name, an.Type, backend, err)
+			return fmt.Errorf("gen: %s/%s: solver %s failed: %w", g.Name, an.Type, cfg.label, err)
 		}
 		fail := func(format string, args ...any) error {
 			return &Violation{Invariant: "solver-backends-agree", Graph: g.Name, Type: an.Type,
-				Detail: fmt.Sprintf("backend %s: %s", backend, fmt.Sprintf(format, args...))}
+				Detail: fmt.Sprintf("solver %s: %s", cfg.label, fmt.Sprintf(format, args...))}
 		}
 		if res.RS > res.ILPUpperBound {
 			return fail("achieved %d above own proven upper bound %d", res.RS, res.ILPUpperBound)
@@ -453,12 +457,12 @@ func checkSolverBackends(ctx context.Context, g *ddg.Graph, an *rs.Analysis, exa
 			} else if res.RS != exactRS {
 				return fail("proved RS=%d, combinatorial exact is %d", res.RS, exactRS)
 			}
-			proven = append(proven, answer{backend, res})
+			proven = append(proven, answer{cfg.label, res})
 		} else {
 			if res.ILPUpperBound < exactRS {
 				return fail("proven upper bound %d below the combinatorial exact %d", res.ILPUpperBound, exactRS)
 			}
-			capped = append(capped, answer{backend, res})
+			capped = append(capped, answer{cfg.label, res})
 		}
 	}
 	if len(proven) == 0 {
@@ -467,16 +471,16 @@ func checkSolverBackends(ctx context.Context, g *ddg.Graph, an *rs.Analysis, exa
 	for _, a := range proven[1:] {
 		if a.res.RS != proven[0].res.RS {
 			return &Violation{Invariant: "solver-backends-agree", Graph: g.Name, Type: an.Type,
-				Detail: fmt.Sprintf("backends %s and %s prove different optima: %d vs %d",
-					proven[0].backend, a.backend, proven[0].res.RS, a.res.RS)}
+				Detail: fmt.Sprintf("solvers %s and %s prove different optima: %d vs %d",
+					proven[0].label, a.label, proven[0].res.RS, a.res.RS)}
 		}
 	}
 	for _, c := range capped {
 		for _, p := range proven {
 			if p.res.RS < c.res.RS || p.res.RS > c.res.ILPUpperBound {
 				return &Violation{Invariant: "solver-backends-agree", Graph: g.Name, Type: an.Type,
-					Detail: fmt.Sprintf("backend %s's interval [%d, %d] misses backend %s's proven %d",
-						c.backend, c.res.RS, c.res.ILPUpperBound, p.backend, p.res.RS)}
+					Detail: fmt.Sprintf("solver %s's interval [%d, %d] misses solver %s's proven %d",
+						c.label, c.res.RS, c.res.ILPUpperBound, p.label, p.res.RS)}
 			}
 		}
 	}

@@ -7,32 +7,40 @@ import (
 	"testing"
 
 	"regsat/internal/lp"
+	"regsat/internal/lp/lptest"
 	"regsat/internal/solver"
 )
 
-// solve runs the model through EVERY registered MILP backend, requires each
-// to prove optimality, cross-checks their objectives, and returns the dense
-// reference solution — so each linearization test doubles as a differential
-// test of the solving layer.
-func solve(t *testing.T, m *lp.Model) *lp.Solution {
+// solve proves the model's optimum at one and three tree-search workers,
+// cross-checks both against exhaustive enumeration, and returns the
+// sequential solution — so each linearization test doubles as a
+// differential test of the solving layer.
+func solve(t *testing.T, m *lp.Model) *solver.Solution {
 	t.Helper()
-	ref := m.Solve(lp.Params{})
-	if ref.Status != lp.StatusOptimal {
-		t.Fatalf("status=%v, want optimal", ref.Status)
+	ref := lptest.MustEnumerate(t, m)
+	if !ref.Feasible {
+		t.Fatal("enumeration: model infeasible, want optimal")
 	}
-	for _, b := range solver.Names() {
-		sol, err := solver.Solve(context.Background(), m, solver.Options{Backend: b, Parallel: 2})
+	var first *solver.Solution
+	for _, w := range []int{1, 3} {
+		sol, err := solver.Solve(context.Background(), m, solver.Options{Parallel: w})
 		if err != nil {
-			t.Fatalf("%s: %v", b, err)
+			t.Fatalf("parallel=%d: %v", w, err)
 		}
 		if sol.Status != lp.StatusOptimal {
-			t.Fatalf("%s: status=%v, want optimal", b, sol.Status)
+			t.Fatalf("parallel=%d: status=%v, want optimal", w, sol.Status)
 		}
 		if math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-			t.Fatalf("%s: obj=%g, dense=%g", b, sol.Obj, ref.Obj)
+			t.Fatalf("parallel=%d: obj=%g, enumerated optimum %g", w, sol.Obj, ref.Obj)
+		}
+		if v := lptest.Violation(m, sol.X); v != "" {
+			t.Fatalf("parallel=%d: optimum infeasible: %s", w, v)
+		}
+		if first == nil {
+			first = sol
 		}
 	}
-	return ref
+	return first
 }
 
 func TestExprAlgebra(t *testing.T) {

@@ -1,18 +1,46 @@
-// Package lp implements a small, dependency-free linear and mixed-integer
-// linear programming solver: a bounded-variable two-phase primal simplex and
-// a branch-and-bound layer over it.
+// Package lp is the model layer of the MILP stack: Model, a mixed-integer
+// linear program under construction, its LP-format writer, and the Status
+// vocabulary solve results use. The engine that solves models is
+// internal/solver.
 //
-// It plays the role CPLEX plays in the paper: an exact solver for the intLP
-// systems of Sections 3 and 4. All models produced by this project have
-// finite variable bounds (the schedule horizon T bounds every quantity), so
-// the solver does not need to be clever about unbounded rays, although it
-// detects them.
+// Models play the role the CPLEX input plays in the paper: the intLP systems
+// of Sections 3 and 4. Every model this project builds has finite variable
+// bounds (the schedule horizon T bounds every quantity), which is what lets
+// the solver start each relaxation from a dual-feasible basis.
 package lp
 
 import (
 	"fmt"
 	"math"
 )
+
+// Status is the outcome of a solve.
+type Status int
+
+const (
+	// StatusOptimal means an optimal (integer-feasible) solution was proved.
+	StatusOptimal Status = iota
+	// StatusInfeasible means no feasible solution exists.
+	StatusInfeasible
+	// StatusFeasible means a feasible solution was found but a search limit
+	// was hit before proving optimality.
+	StatusFeasible
+	// StatusLimit means a search limit was hit with no feasible solution.
+	StatusLimit
+)
+
+func (s Status) String() string {
+	switch s {
+	case StatusOptimal:
+		return "optimal"
+	case StatusInfeasible:
+		return "infeasible"
+	case StatusFeasible:
+		return "feasible(limit)"
+	default:
+		return "limit"
+	}
+}
 
 // Sense is the optimization direction of a model.
 type Sense int

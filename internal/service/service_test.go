@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -415,14 +416,23 @@ func TestServiceRequestValidation(t *testing.T) {
 			Options: client.AnalyzeOptions{Method: "quantum"}},
 		{Graphs: []client.GraphInput{{DDG: "ddg \"x\""}},
 			Options: client.AnalyzeOptions{Method: "ilp", Solver: client.SolverOptions{Backend: "nope"}}},
+		{Graphs: []client.GraphInput{{DDG: "ddg \"x\""}}, // retired backend names
+			Options: client.AnalyzeOptions{Method: "ilp", Solver: client.SolverOptions{Backend: "dense"}}},
+		{Graphs: []client.GraphInput{{DDG: "ddg \"x\""}},
+			Options: client.AnalyzeOptions{Method: "ilp", Solver: client.SolverOptions{Backend: "parallel"}}},
 		{Graphs: []client.GraphInput{{DDG: "ddg \"x\""}},
 			Options: client.AnalyzeOptions{Reduce: &client.ReduceSpec{Budget: 0}}},
 	}
 	for i, req := range cases {
-		if _, err := c.Analyze(context.Background(), req); err == nil {
+		_, err := c.Analyze(context.Background(), req)
+		if err == nil {
 			t.Fatalf("case %d: bad request accepted", i)
-		} else if strings.Contains(err.Error(), "500") {
-			t.Fatalf("case %d: validation leaked a 500: %v", i, err)
+		}
+		// Match the status code, not the message: a request ID may contain
+		// "500".
+		var se *client.StatusError
+		if !errors.As(err, &se) || se.Code/100 != 4 {
+			t.Fatalf("case %d: want a 4xx, got %v", i, err)
 		}
 	}
 }

@@ -122,10 +122,7 @@ func separateRoot(rm *lp.Model, cliques []*cutClique, cancelled func() bool) (ad
 		if cancelled != nil && cancelled() {
 			return added
 		}
-		p, err := buildProb(rm)
-		if err != nil {
-			return added
-		}
+		p := buildProb(rm)
 		w := newSpx(p)
 		w.cancel = cancelled
 		w.reset(p.rootLo, p.rootHi)

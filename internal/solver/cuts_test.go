@@ -1,11 +1,13 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"regsat/internal/lp"
+	"regsat/internal/lp/lptest"
 )
 
 // conflictModel builds maximize Σ c_i x_i over binaries with a pairwise
@@ -39,24 +41,60 @@ func TestCliqueCutsSeparatedAtRoot(t *testing.T) {
 		}
 	}
 	m := conflictModel(obj, edges)
-	ref := solveWith(t, "dense", conflictModel(obj, edges), Options{})
+	ref := lptest.MustEnumerate(t, m)
 	hints := &Hints{Cliques: []Clique{{Name: "all", Vars: cliqueVars, RHS: 1}}}
-	sol := solveWith(t, "sparse", m, Options{Hints: hints})
-	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-		t.Fatalf("with cuts: %v/%g, dense %v/%g", sol.Status, sol.Obj, ref.Status, ref.Obj)
-	}
-	if sol.Stats.CutsAdded == 0 {
-		t.Fatalf("violated clique not separated at the root: %+v", sol.Stats)
-	}
-	if sol.Stats.CutsActive == 0 {
-		t.Fatalf("the cut is tight at every maximal incumbent but CutsActive=0: %+v", sol.Stats)
+	for _, w := range widths {
+		sol := solveWith(t, m, Options{Hints: hints, Parallel: w})
+		requireOptimum(t, fmt.Sprintf("with cuts [parallel=%d]", w), m, ref, sol)
+		if sol.Stats.CutsAdded == 0 {
+			t.Fatalf("parallel=%d: violated clique not separated at the root: %+v", w, sol.Stats)
+		}
+		if sol.Stats.CutsActive == 0 {
+			t.Fatalf("parallel=%d: the cut is tight at every maximal incumbent but CutsActive=0: %+v", w, sol.Stats)
+		}
 	}
 }
 
-// TestCliqueHintsAgreeRandom is the cut-validity property test: on random
-// conflict graphs every triangle yields a valid clique (its three pairwise
-// rows enforce it), so hinting the triangles must never change the proven
-// optimum of any backend, only the work to reach it.
+// randomConflict builds a conflict model over 6–13 binaries with a random
+// conflict graph, and hints every triangle of that graph as a clique (its
+// three pairwise rows enforce it, so each hint is a valid inequality).
+func randomConflict(rng *rand.Rand) (*lp.Model, []Clique) {
+	nv := 6 + rng.Intn(8)
+	obj := make([]float64, nv)
+	for i := range obj {
+		obj[i] = float64(1 + rng.Intn(9))
+	}
+	adj := make([]bool, nv*nv)
+	var edges [][2]int
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			if rng.Intn(3) > 0 {
+				adj[i*nv+j] = true
+				edges = append(edges, [2]int{i, j})
+			}
+		}
+	}
+	var cliques []Clique
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			for k := j + 1; k < nv; k++ {
+				if adj[i*nv+j] && adj[i*nv+k] && adj[j*nv+k] {
+					cliques = append(cliques, Clique{
+						Name: "tri",
+						Vars: []lp.Var{lp.Var(i), lp.Var(j), lp.Var(k)},
+						RHS:  1,
+					})
+				}
+			}
+		}
+	}
+	return conflictModel(obj, edges), cliques
+}
+
+// TestCliqueHintsAgreeRandom is the cut-validity property test: hinting the
+// triangles of random conflict graphs must never change the proven optimum
+// at any tree-search width, only the work to reach it. (The returned point
+// satisfies every row, and the rows imply every hinted clique.)
 func TestCliqueHintsAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	trials := 60
@@ -64,57 +102,11 @@ func TestCliqueHintsAgreeRandom(t *testing.T) {
 		trials = 20
 	}
 	for trial := 0; trial < trials; trial++ {
-		nv := 6 + rng.Intn(8)
-		obj := make([]float64, nv)
-		for i := range obj {
-			obj[i] = float64(1 + rng.Intn(9))
-		}
-		adj := make([]bool, nv*nv)
-		var edges [][2]int
-		for i := 0; i < nv; i++ {
-			for j := i + 1; j < nv; j++ {
-				if rng.Intn(3) > 0 {
-					adj[i*nv+j] = true
-					edges = append(edges, [2]int{i, j})
-				}
-			}
-		}
-		var cliques []Clique
-		for i := 0; i < nv; i++ {
-			for j := i + 1; j < nv; j++ {
-				for k := j + 1; k < nv; k++ {
-					if adj[i*nv+j] && adj[i*nv+k] && adj[j*nv+k] {
-						cliques = append(cliques, Clique{
-							Name: "tri",
-							Vars: []lp.Var{lp.Var(i), lp.Var(j), lp.Var(k)},
-							RHS:  1,
-						})
-					}
-				}
-			}
-		}
-		ref := solveWith(t, "dense", conflictModel(obj, edges), Options{})
-		hints := &Hints{Cliques: cliques}
-		for _, b := range []string{"sparse", "parallel"} {
-			sol := solveWith(t, b, conflictModel(obj, edges), Options{Hints: hints, Parallel: 3})
-			if sol.Status != ref.Status || math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-				t.Fatalf("trial %d: %s with %d hinted triangles: %v/%g, dense %v/%g",
-					trial, b, len(cliques), sol.Status, sol.Obj, ref.Status, ref.Obj)
-			}
-			// The incumbent must satisfy every hinted clique (they are valid
-			// inequalities of the model).
-			if sol.Feasible() && !sol.AtCutoff {
-				for _, c := range cliques {
-					sum := 0.0
-					for _, v := range c.Vars {
-						sum += sol.X[v]
-					}
-					if sum > float64(c.RHS)+1e-6 {
-						t.Fatalf("trial %d: %s incumbent violates hinted clique %v: Σ=%g > %d",
-							trial, b, c.Vars, sum, c.RHS)
-					}
-				}
-			}
+		m, cliques := randomConflict(rng)
+		ref := lptest.MustEnumerate(t, m)
+		for _, w := range widths {
+			sol := solveWith(t, m, Options{Hints: &Hints{Cliques: cliques}, Parallel: w})
+			requireOptimum(t, fmt.Sprintf("trial %d with %d hinted triangles [parallel=%d]", trial, len(cliques), w), m, ref, sol)
 		}
 	}
 }
@@ -212,7 +204,7 @@ func TestCutsDisabled(t *testing.T) {
 		}
 	}
 	hints := &Hints{Cliques: []Clique{{Name: "all", Vars: vars, RHS: 1}}}
-	sol := solveWith(t, "sparse", conflictModel(obj, edges), Options{Hints: hints, DisableCuts: true})
+	sol := solveWith(t, conflictModel(obj, edges), Options{Hints: hints, DisableCuts: true})
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-1) > 1e-6 {
 		t.Fatalf("optimum %v/%g, want optimal 1", sol.Status, sol.Obj)
 	}

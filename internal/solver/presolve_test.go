@@ -1,57 +1,19 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"regsat/internal/lp"
+	"regsat/internal/lp/lptest"
 )
 
-// checkSatisfies asserts that x is a feasible integer assignment of m.
-func checkSatisfies(t *testing.T, m *lp.Model, x []float64, tag string) {
-	t.Helper()
-	if len(x) != m.NumVars() {
-		t.Fatalf("%s: assignment has %d entries for %d variables", tag, len(x), m.NumVars())
-	}
-	for j := 0; j < m.NumVars(); j++ {
-		lo, hi := m.Bounds(lp.Var(j))
-		if x[j] < lo-1e-6 || x[j] > hi+1e-6 {
-			t.Fatalf("%s: x[%d]=%g outside [%g, %g]", tag, j, x[j], lo, hi)
-		}
-		if m.IsInteger(lp.Var(j)) && math.Abs(x[j]-math.Round(x[j])) > 1e-6 {
-			t.Fatalf("%s: integer x[%d]=%g is fractional", tag, j, x[j])
-		}
-	}
-	for i := 0; i < m.NumConstrs(); i++ {
-		terms, rel, rhs := m.Constr(i)
-		act := 0.0
-		for _, tm := range terms {
-			act += tm.Coef * x[tm.Var]
-		}
-		tol := 1e-6 * (1 + math.Abs(rhs))
-		switch rel {
-		case lp.LE:
-			if act > rhs+tol {
-				t.Fatalf("%s: row %d: activity %g > rhs %g", tag, i, act, rhs)
-			}
-		case lp.GE:
-			if act < rhs-tol {
-				t.Fatalf("%s: row %d: activity %g < rhs %g", tag, i, act, rhs)
-			}
-		case lp.EQ:
-			if math.Abs(act-rhs) > tol {
-				t.Fatalf("%s: row %d: activity %g != rhs %g", tag, i, act, rhs)
-			}
-		}
-	}
-}
-
-// TestPresolveRoundTripRandom: on random integer programs the sparse engine
-// with presolve+cuts enabled and disabled must agree with the dense
-// reference, and every returned incumbent — which passed through
-// postsolve — must satisfy the *original* model with the original
-// objective value.
+// TestPresolveRoundTripRandom: on random integer programs the engine with
+// presolve+cuts enabled and disabled must prove the enumerated optimum, and
+// every returned incumbent — which passed through postsolve — must satisfy
+// the *original* model with the original objective value.
 func TestPresolveRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	trials := 300
@@ -60,35 +22,8 @@ func TestPresolveRoundTripRandom(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		m := randomMILP(rng)
-		ref := solveWith(t, "dense", m, Options{})
-		for _, cfg := range []struct {
-			tag string
-			opt Options
-		}{
-			{"presolve+cuts", Options{}},
-			{"raw", Options{DisablePresolve: true, DisableCuts: true}},
-		} {
-			sol := solveWith(t, "sparse", m, cfg.opt)
-			if sol.Status != ref.Status {
-				t.Fatalf("trial %d (%s): status %v, dense %v\n%s",
-					trial, cfg.tag, sol.Status, ref.Status, m.String())
-			}
-			if ref.Status == lp.StatusOptimal && math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-				t.Fatalf("trial %d (%s): obj %g, dense %g\n%s",
-					trial, cfg.tag, sol.Obj, ref.Obj, m.String())
-			}
-			if sol.Feasible() && !sol.AtCutoff {
-				checkSatisfies(t, m, sol.X, cfg.tag)
-				obj := m.ObjOffset()
-				for j := 0; j < m.NumVars(); j++ {
-					obj += m.ObjCoef(lp.Var(j)) * sol.X[j]
-				}
-				if math.Abs(obj-sol.Obj) > 1e-6 {
-					t.Fatalf("trial %d (%s): reported obj %g but x evaluates to %g\n%s",
-						trial, cfg.tag, sol.Obj, obj, m.String())
-				}
-			}
-		}
+		checkExact(t, fmt.Sprintf("trial %d (presolve+cuts)", trial), m, Options{})
+		checkExact(t, fmt.Sprintf("trial %d (raw)", trial), m, Options{DisablePresolve: true, DisableCuts: true})
 	}
 }
 
@@ -160,9 +95,8 @@ func TestPresolveDuplicateRows(t *testing.T) {
 	if ps.rows < 1 {
 		t.Fatalf("duplicate row not merged (rows removed: %d)", ps.rows)
 	}
-	sol := solveWith(t, "dense", ps.m, Options{})
-	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-3) > 1e-6 {
-		t.Fatalf("reduced model optimum %v/%g, want optimal 3", sol.Status, sol.Obj)
+	if ref := lptest.MustEnumerate(t, ps.m); !ref.Feasible || ref.Obj != 3 {
+		t.Fatalf("reduced model optimum %+v, want 3", ref)
 	}
 }
 
@@ -190,7 +124,7 @@ func TestPresolveCoefficientTightening(t *testing.T) {
 	if ps.tightenings < 2 {
 		t.Fatalf("tightenings=%d, want ≥ 2 (both coefficients)", ps.tightenings)
 	}
-	sol := solveWith(t, "sparse", m, Options{})
+	sol := solveWith(t, m, Options{})
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-1) > 1e-6 {
 		t.Fatalf("optimum %v/%g, want optimal 1", sol.Status, sol.Obj)
 	}
@@ -230,7 +164,7 @@ func TestPresolveStatsSurface(t *testing.T) {
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 2)
 	m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.LE, 8, "c")
-	sol := solveWith(t, "sparse", m, Options{})
+	sol := solveWith(t, m, Options{})
 	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-13) > 1e-6 {
 		t.Fatalf("optimum %v/%g, want optimal 13", sol.Status, sol.Obj)
 	}

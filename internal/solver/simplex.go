@@ -1,7 +1,7 @@
 package solver
 
 import (
-	"errors"
+	"fmt"
 	"math"
 
 	"regsat/internal/lp"
@@ -32,9 +32,17 @@ const (
 	spxPivTol   = 1e-9
 	spxFeasTol  = 1e-7
 	spxDualTol  = 1e-7
-	spxBlandCut = 5000  // iterations before the anti-cycling rule kicks in
-	spxIterCap  = 50000 // hard per-node iteration limit
-	refactorCut = 512   // pivots in one tableau before a fresh rebuild
+	spxBlandCut = 5000 // iterations before the anti-cycling rule kicks in
+	refactorCut = 512  // pivots in one tableau before a fresh rebuild
+)
+
+// spxIterCap is the hard per-solve iteration limit, and warmIterCap the one
+// of a warm solve (a dive reoptimizing from its parent's basis). A solve that
+// reaches its limit is numerical trouble, handled by the search (see
+// searcher.retryCold). Both are variables only so tests can force that path.
+var (
+	spxIterCap  = 50000
+	warmIterCap = spxIterCap
 )
 
 const (
@@ -42,11 +50,6 @@ const (
 	spAtUpper
 	spBasic
 )
-
-// errDense marks models the sparse engine does not handle (a variable whose
-// dual-feasible starting bound would be infinite); the backend then delegates
-// the whole model to the dense reference engine.
-var errDense = errors.New("solver: model needs the dense engine")
 
 // prob is the immutable sparse form of one lp.Model, shared by every worker
 // of a solve: CSR constraint rows over the structural columns, internal
@@ -70,7 +73,7 @@ type prob struct {
 	intObj           bool      // objective integral over integer variables
 }
 
-func buildProb(m *lp.Model) (*prob, error) {
+func buildProb(m *lp.Model) *prob {
 	p := &prob{
 		model: m,
 		n:     m.NumVars(),
@@ -124,18 +127,29 @@ func buildProb(m *lp.Model) (*prob, error) {
 		if c != 0 && (!p.integer[j] || c != math.Trunc(c)) {
 			p.intObj = false
 		}
-		// A dual-feasible cold start needs a finite bound on the side the
-		// reduced-cost sign demands.
-		switch {
-		case c > spxDualTol && math.IsInf(p.rootLo[j], 0):
-			return nil, errDense
-		case c < -spxDualTol && math.IsInf(p.rootHi[j], 0):
-			return nil, errDense
-		case math.IsInf(p.rootLo[j], 0) && math.IsInf(p.rootHi[j], 0):
-			return nil, errDense
+	}
+	return p
+}
+
+// unboundedColumn returns ErrUnboundedColumn for the first column of m a
+// dual-feasible cold start cannot place: one with no finite bound on the side
+// its cost points to, or a free one. Presolve only ever tightens bounds, so a
+// model that passes keeps every column placeable through the whole solve.
+func unboundedColumn(m *lp.Model) error {
+	for j := 0; j < m.NumVars(); j++ {
+		v := lp.Var(j)
+		c := m.ObjCoef(v)
+		if m.Sense() == lp.Maximize {
+			c = -c
+		}
+		lo, hi := m.Bounds(v)
+		if (c > spxDualTol && math.IsInf(lo, 0)) ||
+			(c < -spxDualTol && math.IsInf(hi, 0)) ||
+			(math.IsInf(lo, 0) && math.IsInf(hi, 0)) {
+			return fmt.Errorf("%w: %s in [%g, %g] with cost %g", ErrUnboundedColumn, m.VarName(v), lo, hi, m.ObjCoef(v))
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // internalObj converts a model-sense objective value to the internal
@@ -178,7 +192,7 @@ type spx struct {
 	iters      int64 // simplex iterations since the last flush
 	blandIters int64 // iterations under the anti-cycling Bland override
 	pivots     int   // pivots since the last rebuild (refactorization trigger)
-	iterLimit  int   // per-call iteration cap when > 0 (probe solves); else spxIterCap
+	iterLimit  int   // per-call iteration cap when > 0 (probes, warm dives); else spxIterCap
 	cancel     func() bool
 }
 

@@ -3,17 +3,16 @@
 // program) is solved through the Backend interface of this package instead of
 // calling a concrete engine directly.
 //
-// Two engines ship in-tree:
-//
-//   - "dense" — the original dense-tableau two-phase primal simplex with a
-//     sequential depth-first branch and bound (internal/lp), kept as the
-//     reference implementation;
-//   - "sparse" — a rewrite around sparse constraint storage, a dual-simplex
-//     reoptimizer, best-bound node selection with single-bound deltas,
-//     warm-started dives from the parent basis, incumbent/cutoff seeding,
-//     and an optional parallel tree search with a shared atomic incumbent.
-//     "parallel" is the same engine defaulting to one tree-search worker per
-//     CPU.
+// One engine ships in-tree, "sparse": presolve, sparse constraint storage, a
+// bounded dual-simplex reoptimizer, best-bound node selection with
+// single-bound deltas, warm-started dives from the parent basis,
+// incumbent/cutoff seeding, and a tree search Options.Parallel workers wide
+// sharing an atomic incumbent. It needs every column finitely bounded on the
+// side its cost points to (ErrUnboundedColumn otherwise), and it recovers
+// from its own numerical trouble: a warm node solve that hits the iteration
+// cap or yields a point failing verification is rebuilt cold, and a cold one
+// abandons its subtree at its proven bound, so a solve never reports a wrong
+// optimum.
 //
 // Backends register themselves by name; consumers select one with
 // Options.Backend and receive uniform Solution/Stats reporting, including
@@ -22,6 +21,7 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -46,9 +46,7 @@ type Options struct {
 	TimeLimit time.Duration
 	// IntTol is the integrality tolerance (0 = default 1e-6).
 	IntTol float64
-	// Parallel is the tree-search worker count of backends that support a
-	// parallel search (0 = backend default: 1 for "sparse", GOMAXPROCS for
-	// "parallel"). The "dense" backend is always sequential.
+	// Parallel is the tree-search worker count (0 = 1).
 	Parallel int
 	// Cutoff seeds the search with the objective value of a solution known
 	// to be achievable (model sense): subtrees that cannot match it are
@@ -123,8 +121,8 @@ func (o Options) Key() string {
 // responses and its persistent result store, so the field names below are a
 // compatibility surface (Duration serializes as nanoseconds).
 type Stats struct {
-	// Nodes is the number of branch-and-bound nodes whose relaxation was
-	// solved (or dense-fallback subtree solves, counted by their own nodes).
+	// Nodes is the number of branch-and-bound node relaxations solved (a
+	// node re-solved cold after numerical trouble counts twice).
 	Nodes int64 `json:"nodes"`
 	// SimplexIters is the total simplex iterations across all nodes.
 	SimplexIters int64 `json:"simplexIters"`
@@ -133,8 +131,9 @@ type Stats struct {
 	// queue pops and periodic refactorizations).
 	WarmStarts int64 `json:"warmStarts"`
 	ColdStarts int64 `json:"coldStarts"`
-	// Fallbacks counts subtrees handed to the dense reference engine after
-	// numerical trouble.
+	// Fallbacks counts warm node solves that hit numerical trouble (the
+	// iteration cap, or an integer point failing verification against the
+	// exact rows) and were rebuilt cold.
 	Fallbacks int64 `json:"fallbacks"`
 	// Incumbents counts incumbent improvements.
 	Incumbents int64 `json:"incumbents"`
@@ -197,9 +196,8 @@ func (s *Stats) Add(other Stats) {
 
 // Solution is the uniform result of a backend solve.
 type Solution struct {
-	// Status uses the lp package's vocabulary: Optimal, Infeasible,
-	// Unbounded, Feasible (limit hit with an incumbent), Limit (limit hit
-	// with no incumbent).
+	// Status uses the lp package's vocabulary: Optimal, Infeasible, Feasible
+	// (limit hit with an incumbent), Limit (limit hit with no incumbent).
 	Status lp.Status
 	// Obj is the incumbent objective in model sense (valid for Optimal and
 	// Feasible).
@@ -214,7 +212,8 @@ type Solution struct {
 	Bound float64
 	// Gap is |Obj − Bound| (0 when optimality was proved).
 	Gap float64
-	// Capped reports that a node/time/context limit stopped the search.
+	// Capped reports that a node/time/context limit, or numerical trouble a
+	// cold rebuild could not clear, stopped the search short of a proof.
 	Capped bool
 	// AtCutoff reports that no solution strictly better than the exclusive
 	// Options.Cutoff exists (Status Optimal) or was found before a limit
@@ -244,6 +243,13 @@ type Backend interface {
 	Name() string
 	Solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error)
 }
+
+// ErrUnboundedColumn is returned by Solve for a model with a column the
+// engine cannot start from: no finite bound on the side its objective
+// coefficient points to (the relaxation may be unbounded), or no finite
+// bound at all. Every model this project builds boxes its variables by the
+// schedule horizon, so the error marks a model-builder bug.
+var ErrUnboundedColumn = errors.New("solver: free column, or column unbounded in its cost direction")
 
 var (
 	regMu    sync.RWMutex
@@ -290,7 +296,7 @@ func namesLocked() []string {
 // Solve dispatches to the backend selected by opt.Backend. On a traced
 // context the solve gets its own span whose event timeline is the search
 // telemetry backends emit (presolve reductions, cut rounds, dives,
-// incumbents, refactorizations, dense fallbacks) and whose attributes
+// incumbents, refactorizations, numerical recoveries) and whose attributes
 // summarize the finished solve's Stats — for an untraced context the whole
 // layer is nil checks.
 func Solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {

@@ -2,40 +2,117 @@ package solver
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"regsat/internal/lp"
+	"regsat/internal/lp/lptest"
 )
 
-func solveWith(t *testing.T, backend string, m *lp.Model, opt Options) *Solution {
+// widths are the tree-search worker counts every differential check runs:
+// the sequential search and the parallel one with a shared incumbent.
+var widths = []int{1, 3}
+
+func solveWith(t *testing.T, m *lp.Model, opt Options) *Solution {
 	t.Helper()
-	opt.Backend = backend
 	sol, err := Solve(context.Background(), m, opt)
 	if err != nil {
-		t.Fatalf("%s: %v", backend, err)
+		t.Fatalf("parallel=%d: %v", opt.Parallel, err)
 	}
 	return sol
 }
 
+// requireOptimum asserts that sol proves the enumerated optimum ref of the
+// pure-integer model m: same feasibility, same objective, a closed interval,
+// and a returned point that is feasible for m and achieves the objective.
+func requireOptimum(t *testing.T, tag string, m *lp.Model, ref lptest.Optimum, sol *Solution) {
+	t.Helper()
+	if !ref.Feasible {
+		if sol.Status != lp.StatusInfeasible {
+			t.Fatalf("%s: status %v, enumeration proves infeasible\n%s", tag, sol.Status, m)
+		}
+		return
+	}
+	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-ref.Obj) > 1e-6 {
+		t.Fatalf("%s: %v/%g, enumerated optimum %g\n%s", tag, sol.Status, sol.Obj, ref.Obj, m)
+	}
+	if sol.Gap != 0 || sol.Bound != sol.Obj {
+		t.Fatalf("%s: optimal solve reported bound %g gap %g", tag, sol.Bound, sol.Gap)
+	}
+	if sol.AtCutoff {
+		return // the caller holds the point
+	}
+	if v := lptest.Violation(m, sol.X); v != "" {
+		t.Fatalf("%s: returned point infeasible: %s\n%s", tag, v, m)
+	}
+	if obj := lptest.Objective(m, sol.X); math.Abs(obj-sol.Obj) > 1e-6 {
+		t.Fatalf("%s: reported obj %g but the point evaluates to %g", tag, sol.Obj, obj)
+	}
+}
+
+// requireBracket asserts that the capped solve sol of m brackets the
+// enumerated optimum ref: its incumbent (if any) is a feasible point no better
+// than the optimum, and its proven bound is no worse.
+func requireBracket(t *testing.T, tag string, m *lp.Model, ref lptest.Optimum, sol *Solution) {
+	t.Helper()
+	better := func(a, b float64) bool {
+		if m.Sense() == lp.Maximize {
+			return a > b+1e-6
+		}
+		return a < b-1e-6
+	}
+	if !ref.Feasible {
+		if sol.Feasible() {
+			t.Fatalf("%s: %v/%g on a model enumeration proves infeasible\n%s", tag, sol.Status, sol.Obj, m)
+		}
+		return
+	}
+	if better(ref.Obj, sol.Bound) {
+		t.Fatalf("%s: proven bound %g excludes the enumerated optimum %g\n%s", tag, sol.Bound, ref.Obj, m)
+	}
+	if !sol.Feasible() || sol.AtCutoff {
+		return
+	}
+	if better(sol.Obj, ref.Obj) {
+		t.Fatalf("%s: incumbent %g beats the enumerated optimum %g\n%s", tag, sol.Obj, ref.Obj, m)
+	}
+	if v := lptest.Violation(m, sol.X); v != "" {
+		t.Fatalf("%s: incumbent infeasible: %s\n%s", tag, v, m)
+	}
+}
+
+// checkExact solves the pure-integer model at every width and requires each
+// solve to prove the enumerated optimum.
+func checkExact(t *testing.T, tag string, m *lp.Model, opt Options) {
+	t.Helper()
+	ref := lptest.MustEnumerate(t, m)
+	for _, w := range widths {
+		opt.Parallel = w
+		requireOptimum(t, fmt.Sprintf("%s [parallel=%d]", tag, w), m, ref, solveWith(t, m, opt))
+	}
+}
+
 func TestRegistry(t *testing.T) {
-	names := Names()
-	want := map[string]bool{"dense": false, "sparse": false, "parallel": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
+	if names := Names(); !slices.Equal(names, []string{DefaultBackend}) {
+		t.Fatalf("registered backends %v, want [%s]", names, DefaultBackend)
+	}
+	if b, err := Get(""); err != nil || b.Name() != DefaultBackend {
+		t.Fatalf("Get(\"\") = %v, %v; want the default backend", b, err)
+	}
+	for _, name := range []string{"dense", "parallel", "no-such-backend"} {
+		if _, err := Get(name); err == nil {
+			t.Errorf("Get(%q) did not fail", name)
 		}
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("backend %q not registered (have %v)", n, names)
-		}
-	}
-	if _, err := Get("no-such-backend"); err == nil {
-		t.Error("Get of unknown backend did not fail")
+	// Result stores key on the default options: the key must not move.
+	if key := (Options{}).Key(); key != "sparse|n200000|t0s|i1e-06|p0|c-" {
+		t.Errorf("default options key %q moved", key)
 	}
 }
 
@@ -54,29 +131,16 @@ func knapsack() *lp.Model {
 }
 
 func TestKnapsackAllBackends(t *testing.T) {
-	// The dense engine provides the reference optimum.
-	m := knapsack()
-	ref := solveWith(t, "dense", m, Options{})
-	if ref.Status != lp.StatusOptimal {
-		t.Fatalf("dense: status %v", ref.Status)
-	}
-	for _, b := range []string{"sparse", "parallel"} {
-		m2 := knapsack()
-		sol := solveWith(t, b, m2, Options{Parallel: 4})
-		if sol.Status != lp.StatusOptimal {
-			t.Fatalf("%s: status %v", b, sol.Status)
-		}
-		if math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-			t.Fatalf("%s: obj %g, dense %g", b, sol.Obj, ref.Obj)
-		}
-		if sol.Gap != 0 || sol.Bound != sol.Obj {
-			t.Fatalf("%s: optimal solve reported bound %g gap %g", b, sol.Bound, sol.Gap)
-		}
+	checkExact(t, "knapsack", knapsack(), Options{})
+	// By hand: weights 3+4+5 = 12 ≤ 13 carry values 4+5+8 = 17, and no
+	// subset of weight ≤ 13 carries more.
+	if sol := solveWith(t, knapsack(), Options{}); sol.Obj != 17 {
+		t.Fatalf("knapsack optimum %g, want 17", sol.Obj)
 	}
 }
 
 // randomMILP builds a small random pure-integer program (the same family the
-// lp package cross-validates against brute force).
+// lp package's tests cross-validate against enumeration).
 func randomMILP(rng *rand.Rand) *lp.Model {
 	nv := 2 + rng.Intn(4)
 	nc := 1 + rng.Intn(4)
@@ -104,9 +168,9 @@ func randomMILP(rng *rand.Rand) *lp.Model {
 	return m
 }
 
-// TestBackendsAgreeRandom cross-validates the sparse engine (sequential and
-// parallel) against the dense reference on hundreds of random integer
-// programs, including infeasible ones.
+// TestBackendsAgreeRandom cross-validates the engine (sequential and
+// parallel tree search) against exhaustive enumeration on hundreds of random
+// integer programs, including infeasible ones.
 func TestBackendsAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(2004))
 	trials := 400
@@ -114,39 +178,27 @@ func TestBackendsAgreeRandom(t *testing.T) {
 		trials = 120
 	}
 	for trial := 0; trial < trials; trial++ {
-		m := randomMILP(rng)
-		ref := solveWith(t, "dense", m, Options{})
-		for _, b := range []string{"sparse", "parallel"} {
-			sol := solveWith(t, b, m, Options{Parallel: 3})
-			if sol.Status != ref.Status {
-				t.Fatalf("trial %d: %s status %v, dense %v\n%s",
-					trial, b, sol.Status, ref.Status, m.String())
-			}
-			if ref.Status == lp.StatusOptimal && math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-				t.Fatalf("trial %d: %s obj %g, dense %g\n%s",
-					trial, b, sol.Obj, ref.Obj, m.String())
-			}
-		}
+		checkExact(t, fmt.Sprintf("trial %d", trial), randomMILP(rng), Options{})
 	}
 }
 
 // TestMixedIntegerContinuous checks the sparse engine on a model with a
 // continuous variable (only the integer one is branched).
 func TestMixedIntegerContinuous(t *testing.T) {
-	for _, b := range Names() {
+	for _, w := range widths {
 		m := lp.NewModel("mix", lp.Maximize)
 		x := m.NewVar(0, 10, true, "x")
 		y := m.NewVar(0, 10, false, "y")
 		m.SetObjCoef(x, 2)
 		m.SetObjCoef(y, 3)
 		m.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 2}}, lp.LE, 7.5, "c")
-		sol := solveWith(t, b, m, Options{})
+		sol := solveWith(t, m, Options{Parallel: w})
 		if sol.Status != lp.StatusOptimal {
-			t.Fatalf("%s: status %v", b, sol.Status)
+			t.Fatalf("parallel=%d: status %v", w, sol.Status)
 		}
 		// x integer, y continuous: best is x=7, y=0.25 → 14.75.
 		if math.Abs(sol.Obj-14.75) > 1e-6 {
-			t.Fatalf("%s: obj %g, want 14.75", b, sol.Obj)
+			t.Fatalf("parallel=%d: obj %g, want 14.75", w, sol.Obj)
 		}
 	}
 }
@@ -154,17 +206,18 @@ func TestMixedIntegerContinuous(t *testing.T) {
 // TestCutoffSeeding verifies that seeding with an achievable objective keeps
 // the solve exact while pruning the tree.
 func TestCutoffSeeding(t *testing.T) {
-	base := knapsack()
-	ref := solveWith(t, "dense", base, Options{})
 	m := knapsack()
-	sol := solveWith(t, "sparse", m, Options{Cutoff: CutoffAt(ref.Obj)})
-	if sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-ref.Obj) > 1e-6 {
-		t.Fatalf("seeded at the optimum: status %v obj %g, want optimal %g", sol.Status, sol.Obj, ref.Obj)
-	}
-	m2 := knapsack()
-	sol2 := solveWith(t, "sparse", m2, Options{Cutoff: CutoffAt(ref.Obj - 3)})
-	if sol2.Status != lp.StatusOptimal || math.Abs(sol2.Obj-ref.Obj) > 1e-6 {
-		t.Fatalf("seeded below the optimum: status %v obj %g, want optimal %g", sol2.Status, sol2.Obj, ref.Obj)
+	ref := lptest.MustEnumerate(t, m)
+	checkExact(t, "seeded at the optimum", m, Options{Cutoff: CutoffAt(ref.Obj)})
+	checkExact(t, "seeded below the optimum", m, Options{Cutoff: CutoffAt(ref.Obj - 3)})
+	// An exclusive cutoff at the optimum: nothing strictly better exists, so
+	// the solve proves the caller's held solution optimal without a point.
+	for _, w := range widths {
+		sol := solveWith(t, m, Options{Cutoff: CutoffAt(ref.Obj), ExclusiveCutoff: true, Parallel: w})
+		if sol.Status != lp.StatusOptimal || !sol.AtCutoff || sol.Obj != ref.Obj {
+			t.Fatalf("parallel=%d: exclusive cutoff at the optimum gave %v/%g atCutoff=%t",
+				w, sol.Status, sol.Obj, sol.AtCutoff)
+		}
 	}
 }
 
@@ -172,8 +225,8 @@ func TestCutoffSeeding(t *testing.T) {
 // dual bound bracketing the true optimum (satellite: capped solves surface
 // the interval like rs.ExactStats.Capped).
 func TestNodeLimitReportsInterval(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, b := range []string{"dense", "sparse"} {
+	for _, w := range widths {
+		rng := rand.New(rand.NewSource(7))
 		m := lp.NewModel("cap", lp.Maximize)
 		var terms []lp.Term
 		for i := 0; i < 18; i++ {
@@ -182,20 +235,16 @@ func TestNodeLimitReportsInterval(t *testing.T) {
 			terms = append(terms, lp.Term{Var: x, Coef: float64(2 + rng.Intn(5))})
 		}
 		m.AddConstr(terms, lp.LE, 23, "cap")
-		sol := solveWith(t, b, m, Options{MaxNodes: 3})
+		sol := solveWith(t, m, Options{MaxNodes: 3, Parallel: w})
 		if sol.Status == lp.StatusOptimal || sol.Status == lp.StatusInfeasible {
-			continue // tiny model solved within the cap on this backend
+			continue // tiny model solved within the cap at this width
 		}
 		if !sol.Capped {
-			t.Fatalf("%s: limit solve not marked capped (status %v)", b, sol.Status)
+			t.Fatalf("parallel=%d: limit solve not marked capped (status %v)", w, sol.Status)
 		}
-		if sol.Status == lp.StatusFeasible {
-			if sol.Bound < sol.Obj-1e-9 {
-				t.Fatalf("%s: maximize bound %g below incumbent %g", b, sol.Bound, sol.Obj)
-			}
-			if math.Abs(sol.Gap-(sol.Bound-sol.Obj)) > 1e-9 {
-				t.Fatalf("%s: gap %g inconsistent with [%g, %g]", b, sol.Gap, sol.Obj, sol.Bound)
-			}
+		requireBracket(t, fmt.Sprintf("parallel=%d", w), m, lptest.MustEnumerate(t, m), sol)
+		if sol.Status == lp.StatusFeasible && math.Abs(sol.Gap-(sol.Bound-sol.Obj)) > 1e-9 {
+			t.Fatalf("parallel=%d: gap %g inconsistent with [%g, %g]", w, sol.Gap, sol.Obj, sol.Bound)
 		}
 	}
 }
@@ -203,7 +252,7 @@ func TestNodeLimitReportsInterval(t *testing.T) {
 // TestContextCancellation: cancelling the context interrupts an in-flight
 // solve promptly and surfaces the context error.
 func TestContextCancellation(t *testing.T) {
-	for _, b := range []string{"dense", "sparse", "parallel"} {
+	for _, w := range widths {
 		rng := rand.New(rand.NewSource(42))
 		m := lp.NewModel("slow", lp.Maximize)
 		var terms []lp.Term
@@ -223,15 +272,15 @@ func TestContextCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already cancelled: the solve must return immediately
 		start := time.Now()
-		sol, err := Solve(ctx, m, Options{Backend: b, MaxNodes: 10_000_000})
+		sol, err := Solve(ctx, m, Options{MaxNodes: 10_000_000, Parallel: w})
 		if err == nil {
-			t.Fatalf("%s: cancelled solve returned no error", b)
+			t.Fatalf("parallel=%d: cancelled solve returned no error", w)
 		}
 		if sol == nil {
-			t.Fatalf("%s: cancelled solve returned nil solution", b)
+			t.Fatalf("parallel=%d: cancelled solve returned nil solution", w)
 		}
 		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Fatalf("%s: cancelled solve took %v", b, elapsed)
+			t.Fatalf("parallel=%d: cancelled solve took %v", w, elapsed)
 		}
 	}
 }
@@ -247,21 +296,23 @@ func TestParallelTreeSearchRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for trial := 0; trial < 8; trial++ {
 				m := randomMILP(rng)
-				ref, err := Solve(context.Background(), m, Options{Backend: "dense"})
+				ref, err := lptest.Enumerate(m)
 				if err != nil {
-					t.Errorf("dense: %v", err)
+					t.Error(err)
 					return
 				}
-				sol, err := Solve(context.Background(), m, Options{Backend: "parallel", Parallel: 4})
-				if err != nil {
-					t.Errorf("parallel: %v", err)
-					return
-				}
-				if sol.Status != ref.Status ||
-					(ref.Status == lp.StatusOptimal && math.Abs(sol.Obj-ref.Obj) > 1e-6) {
-					t.Errorf("seed %d trial %d: parallel %v/%g, dense %v/%g",
-						seed, trial, sol.Status, sol.Obj, ref.Status, ref.Obj)
-					return
+				for _, w := range widths {
+					sol, err := Solve(context.Background(), m, Options{Parallel: w})
+					if err != nil {
+						t.Errorf("parallel=%d: %v", w, err)
+						return
+					}
+					if sol.Feasible() != ref.Feasible ||
+						(ref.Feasible && (sol.Status != lp.StatusOptimal || math.Abs(sol.Obj-ref.Obj) > 1e-6)) {
+						t.Errorf("seed %d trial %d: parallel=%d %v/%g, enumerated feasible=%t obj=%g",
+							seed, trial, w, sol.Status, sol.Obj, ref.Feasible, ref.Obj)
+						return
+					}
 				}
 			}
 		}(int64(g))
@@ -281,7 +332,7 @@ func TestWarmStartsHappen(t *testing.T) {
 		terms = append(terms, lp.Term{Var: x, Coef: float64(2 + rng.Intn(7))})
 	}
 	m.AddConstr(terms, lp.LE, 31, "cap")
-	sol := solveWith(t, "sparse", m, Options{})
+	sol := solveWith(t, m, Options{})
 	if sol.Status != lp.StatusOptimal {
 		t.Fatalf("status %v", sol.Status)
 	}
@@ -291,26 +342,88 @@ func TestWarmStartsHappen(t *testing.T) {
 }
 
 func TestInfeasibleModel(t *testing.T) {
-	for _, b := range Names() {
+	for _, w := range widths {
 		m := lp.NewModel("inf", lp.Minimize)
 		x := m.NewVar(0, 5, true, "x")
 		m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.GE, 3, "ge")
 		m.AddConstr([]lp.Term{{Var: x, Coef: 1}}, lp.LE, 2, "le")
-		sol := solveWith(t, b, m, Options{})
+		sol := solveWith(t, m, Options{Parallel: w})
 		if sol.Status != lp.StatusInfeasible {
-			t.Fatalf("%s: status %v, want infeasible", b, sol.Status)
+			t.Fatalf("parallel=%d: status %v, want infeasible", w, sol.Status)
 		}
 	}
 }
 
-// TestUnboundedFallsBackToDense: the sparse engine delegates models with
-// infinite cost-bearing bounds to the dense engine, which detects the ray.
-func TestUnboundedFallsBackToDense(t *testing.T) {
-	m := lp.NewModel("unb", lp.Maximize)
-	x := m.NewVar(0, math.Inf(1), false, "x")
-	m.SetObjCoef(x, 1)
-	sol := solveWith(t, "sparse", m, Options{})
-	if sol.Status != lp.StatusUnbounded {
-		t.Fatalf("status %v, want unbounded", sol.Status)
+// TestUnboundedColumnIsAnError: a column the engine cannot start from — one
+// unbounded in its cost direction, or a free one — is a model error, never a
+// silent delegation.
+func TestUnboundedColumnIsAnError(t *testing.T) {
+	// max x with x − y ≤ 1 over x, y ≥ 0: x can grow with y (a real ray).
+	ray := lp.NewModel("ray", lp.Maximize)
+	x := ray.NewVar(0, math.Inf(1), false, "x")
+	y := ray.NewVar(0, math.Inf(1), false, "y")
+	ray.SetObjCoef(x, 1)
+	ray.AddConstr([]lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: -1}}, lp.LE, 1, "c")
+	// A free zero-cost column next to a bounded objective.
+	free := lp.NewModel("free", lp.Minimize)
+	a := free.NewVar(0, 3, true, "a")
+	z := free.NewVar(math.Inf(-1), math.Inf(1), false, "z")
+	free.SetObjCoef(a, 1)
+	free.AddConstr([]lp.Term{{Var: a, Coef: 1}, {Var: z, Coef: 1}}, lp.GE, 1, "c")
+	for _, m := range []*lp.Model{ray, free} {
+		for _, w := range widths {
+			sol, err := Solve(context.Background(), m, Options{Parallel: w})
+			if !errors.Is(err, ErrUnboundedColumn) || sol != nil {
+				t.Fatalf("%s [parallel=%d]: got %v, %v; want ErrUnboundedColumn", m.Name(), w, sol, err)
+			}
+		}
+	}
+}
+
+// TestNumericalRecovery forces the iteration cap on random integer programs
+// and hinted conflict models, first in warm dives only — the engine must
+// rebuild those nodes cold and still prove the enumerated optimum — then in
+// every solve, where cold solves in trouble abandon their subtree and the
+// search must end capped with an interval bracketing the optimum.
+func TestNumericalRecovery(t *testing.T) {
+	savedCold, savedWarm := spxIterCap, warmIterCap
+	t.Cleanup(func() { spxIterCap, warmIterCap = savedCold, savedWarm })
+	rng := rand.New(rand.NewSource(1515))
+	var recovered, abandoned int
+	for trial := 0; trial < 400; trial++ {
+		warmOnly := trial < 200
+		if warmOnly {
+			warmIterCap = 1 + trial%3
+		} else {
+			spxIterCap, warmIterCap = trial%4, trial%4
+		}
+		m, opt := randomMILP(rng), Options{}
+		if trial%2 == 1 {
+			var cliques []Clique
+			m, cliques = randomConflict(rng)
+			opt.Hints = &Hints{Cliques: cliques}
+		}
+		ref := lptest.MustEnumerate(t, m)
+		for _, w := range widths {
+			opt.Parallel = w
+			sol := solveWith(t, m, opt)
+			tag := fmt.Sprintf("trial %d [parallel=%d]", trial, w)
+			switch {
+			case warmOnly:
+				requireOptimum(t, tag, m, ref, sol)
+				if sol.Stats.Fallbacks > 0 {
+					recovered++
+				}
+			case sol.Capped:
+				requireBracket(t, tag, m, ref, sol)
+				abandoned++
+			default:
+				requireOptimum(t, tag, m, ref, sol)
+			}
+		}
+	}
+	t.Logf("%d solves recovered warm trouble, %d ended capped", recovered, abandoned)
+	if recovered == 0 || abandoned == 0 {
+		t.Fatalf("recovery path not exercised: %d recovered, %d capped", recovered, abandoned)
 	}
 }

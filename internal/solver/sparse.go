@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -28,24 +27,21 @@ import (
 // descending into one child per branching — reusing the tableau and basis it
 // already holds, which makes the child solve a handful of dual pivots — while
 // the sibling goes onto the shared best-bound queue as a {variable, bound}
-// delta against its parent chain. Any numerical trouble hands the affected
-// subtree to the dense reference engine, so exactness never depends on the
-// fast path.
-type sparseBackend struct {
-	// defaultParallel is the worker count when Options.Parallel is 0.
-	defaultParallel func() int
-	name            string
-}
+// delta against its parent chain. Numerical trouble in a warm dive rebuilds
+// the node cold from the exact matrix; trouble that survives the rebuild
+// abandons the subtree at its proven bound, so exactness never depends on
+// the fast path.
+type sparseBackend struct{}
 
-func init() {
-	Register(sparseBackend{name: "sparse", defaultParallel: func() int { return 1 }})
-	Register(sparseBackend{name: "parallel", defaultParallel: runtime.NumCPU})
-}
+func init() { Register(sparseBackend{}) }
 
-func (b sparseBackend) Name() string { return b.name }
+func (sparseBackend) Name() string { return DefaultBackend }
 
-func (b sparseBackend) Solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
+func (sparseBackend) Solve(ctx context.Context, m *lp.Model, opt Options) (*Solution, error) {
 	opt = opt.withDefaults()
+	if err := unboundedColumn(m); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	// The solve span (created by the Solve dispatcher; nil when untraced)
 	// carries the search telemetry: milestone events on a bounded buffer,
@@ -78,27 +74,7 @@ func (b sparseBackend) Solve(ctx context.Context, m *lp.Model, opt Options) (*So
 		}
 	}
 
-	p, err := buildProb(rm)
-	if err == errDense {
-		span.Event("fallback.dense", obs.Str("cause", "unbounded-cost-var"))
-		// Infinite bounds on a cost-bearing variable: the general-purpose
-		// dense engine handles those (and detects unboundedness). The
-		// delegation is a whole-model fallback — count it so it never
-		// happens silently — and its solution lives in reduced space, so it
-		// goes through postsolve like any other.
-		sol, derr := denseBackend{}.Solve(ctx, rm, opt)
-		if sol != nil {
-			sol.X = ps.postsolve(sol.X)
-			sol.Stats.Fallbacks++
-			sol.Stats.PresolveRows += ps.rows
-			sol.Stats.PresolveCols += ps.cols
-			sol.Stats.PresolveTightenings += ps.tightenings
-		}
-		return sol, derr
-	}
-	if err != nil {
-		return nil, err
-	}
+	p := buildProb(rm)
 
 	var deadline time.Time
 	if opt.TimeLimit > 0 {
@@ -113,23 +89,14 @@ func (b sparseBackend) Solve(ctx context.Context, m *lp.Model, opt Options) (*So
 		cutsAdded = separateRoot(rm, cliques, cancelled)
 		span.Event("cuts.separated", obs.Int("added", cutsAdded), obs.Int("cliques", int64(len(cliques))))
 		if cutsAdded > 0 {
-			// The matrix grew; rebuild the shared sparse form. Cut rows add
-			// no variables, so sparse eligibility cannot change.
-			if p, err = buildProb(rm); err != nil {
-				return nil, err
-			}
+			// The matrix grew; rebuild the shared sparse form.
+			p = buildProb(rm)
 		}
 	}
 
 	// An explicit Parallel is honored as given (oversubscription is just
-	// goroutines); only the default is derived from the machine.
-	workers := opt.Parallel
-	if workers <= 0 {
-		workers = b.defaultParallel()
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	// goroutines).
+	workers := max(opt.Parallel, 1)
 
 	s := &searcher{
 		p:         p,
@@ -245,7 +212,6 @@ type searcher struct {
 	limitHit bool
 	// stoppedFlag mirrors stopped for the lock-free per-node fast path.
 	stoppedFlag atomic.Bool
-	unbounded   bool
 	openBound   float64   // min bound over abandoned subtrees (internal)
 	incX        []float64 // incumbent assignment (model variables, snapped)
 
@@ -382,21 +348,12 @@ func (s *searcher) abandon(bound float64) {
 	s.mu.Unlock()
 }
 
-func (s *searcher) setUnbounded() {
-	s.mu.Lock()
-	s.unbounded = true
-	s.stopped = true
-	s.stoppedFlag.Store(true)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
 // updateIncumbent installs a verified integer solution if it improves.
 func (s *searcher) updateIncumbent(objInternal float64, x []float64) {
 	// Under an exclusive cutoff the caller already holds a solution at the
-	// cutoff objective; a fallback subtree solve (which runs without cutoff
-	// knowledge) may legally return something strictly worse — installing it
-	// would let finish() report a worse-than-held "optimum". Drop it.
+	// cutoff objective; a point that round-off let past the prune target may
+	// still be strictly worse — installing it would let finish() report a
+	// worse-than-held "optimum". Drop it.
 	if s.exclusiveCutoff && objInternal > s.cutoff+1e-7 {
 		return
 	}
@@ -511,8 +468,10 @@ func (s *searcher) dive(w, scratch *spx, nd *qnode, warm bool) {
 			s.abandon(nd.bound)
 			return
 		}
+		w.iterLimit = 0
 		if warm {
 			s.warm.Add(1)
+			w.iterLimit = warmIterCap
 		}
 		st := w.dual(s.pruneTarget())
 		s.nodes.Add(1)
@@ -526,8 +485,11 @@ func (s *searcher) dive(w, scratch *spx, nd *qnode, warm bool) {
 			s.abandon(nd.bound)
 			return
 		case spxIterLimit:
-			s.denseFallback(w)
-			return
+			if !s.retryCold(w, nd, warm) {
+				return
+			}
+			warm = false
+			continue
 		}
 		obj := w.obj()
 		// Pseudo-cost observation: the LP degradation this branch caused,
@@ -562,16 +524,19 @@ func (s *searcher) dive(w, scratch *spx, nd *qnode, warm bool) {
 		}
 		if len(cands) == 0 {
 			// Integer feasible: snap, verify against the original rows, and
-			// publish. A failed verification means the warm tableau drifted —
-			// hand the subtree to the dense engine instead of trusting it.
+			// publish. A failed verification means the tableau drifted —
+			// re-solve the node cold instead of trusting it.
 			for j := 0; j < p.n; j++ {
 				if p.integer[j] {
 					x[j] = math.Round(x[j])
 				}
 			}
 			if !w.verify(x) {
-				s.denseFallback(w)
-				return
+				if !s.retryCold(w, nd, warm) {
+					return
+				}
+				warm = false
+				continue
 			}
 			objInt := 0.0
 			for j := 0; j < p.n; j++ {
@@ -796,53 +761,29 @@ func (w *spx) applyBoundOnlyStore(nd *qnode) {
 	w.lo[nd.vr], w.hi[nd.vr] = nd.lo, nd.hi
 }
 
-// denseFallback solves the worker's current subtree with the dense reference
-// engine: slower, but immune to the warm tableau's numerical state. The
-// subtree is fully resolved (its own branch and bound), so the node does not
-// return to the queue.
-func (s *searcher) denseFallback(w *spx) {
-	p := s.p
+// retryCold handles numerical trouble (the iteration cap, or an integer point
+// failing verification) in the solve of node nd. After a warm solve the node
+// is rebuilt cold from the exact sparse matrix at its current bounds — the
+// clique-propagated fixings included — and the caller re-solves it once. A
+// cold solve in trouble has nothing fresher to restart from: its subtree is
+// abandoned at its proven bound, so the search ends capped with a valid
+// interval rather than trusting a drifted point. Reports whether to retry.
+func (s *searcher) retryCold(w *spx, nd *qnode, warm bool) bool {
+	if !warm {
+		s.span.Event("recover.abandon", obs.Str("bound", strconv.FormatFloat(nd.bound, 'g', 6, 64)))
+		s.abandon(nd.bound)
+		return false
+	}
 	s.fallback.Add(1)
-	// Reserve the node grant up front (and refund the unused part after), so
-	// concurrent fallbacks cannot each claim the full remaining budget and
-	// overshoot MaxNodes by a factor of the worker count.
-	var grant int64
-	for {
-		cur := s.nodes.Load()
-		grant = int64(s.opt.MaxNodes) - cur
-		if grant < 1 {
-			grant = 1
-		}
-		if s.nodes.CompareAndSwap(cur, cur+grant) {
-			break
-		}
-	}
-	s.span.Event("fallback.dense", obs.Int("nodeGrant", grant))
-	params := lp.Params{IntTol: s.opt.IntTol, MaxNodes: int(grant)}
-	if !s.deadline.IsZero() {
-		params.TimeLimit = time.Until(s.deadline)
-		if params.TimeLimit <= 0 {
-			params.TimeLimit = time.Millisecond
-		}
-	}
-	sol := p.model.SolveWithBounds(s.ctx, params, w.lo[:p.n], w.hi[:p.n])
-	s.nodes.Add(int64(sol.Nodes) - grant)
-	switch sol.Status {
-	case lp.StatusUnbounded:
-		s.setUnbounded()
-	case lp.StatusOptimal:
-		s.updateIncumbent(p.internalObj(sol.Obj), sol.X)
-	case lp.StatusFeasible:
-		s.updateIncumbent(p.internalObj(sol.Obj), sol.X)
-		s.abandon(p.internalObj(sol.Bound))
-	case lp.StatusLimit:
-		s.abandon(p.internalObj(sol.Bound))
-	}
+	s.span.Event("recover.cold", obs.Int("pivots", int64(w.pivots)))
+	w.reset(w.lo[:s.p.n], w.hi[:s.p.n])
+	s.cold.Add(1)
+	return true
 }
 
 // finish assembles the Solution from the search state. Workers have joined
-// by the time it runs, but it reads mu-guarded fields (unbounded, limitHit,
-// openBound, incX), so it takes the — by now uncontended — lock anyway.
+// by the time it runs, but it reads mu-guarded fields (limitHit, openBound,
+// incX), so it takes the — by now uncontended — lock anyway.
 func (s *searcher) finish() *Solution {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -866,10 +807,6 @@ func (s *searcher) finish() *Solution {
 		}
 	}
 	s.pcMu.Unlock()
-	if s.unbounded {
-		sol.Status = lp.StatusUnbounded
-		return sol
-	}
 	inc := s.incumbentObj()
 	haveInc := !math.IsInf(inc, 1)
 	if !haveInc && s.exclusiveCutoff {

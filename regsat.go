@@ -18,12 +18,11 @@
 //
 // Three RS methods are provided: the near-optimal Greedy-k heuristic of
 // [Touati, CC 2001], an exact branch-and-bound over killing functions, and
-// the paper's exact integer linear program (Section 3) solved through the
-// pluggable MILP layer of internal/solver (backends: the dense reference
-// engine, a sparse warm-started best-bound engine, and its parallel tree
-// search — see docs/SOLVER.md). Reduction (Section 4) similarly
-// offers the value-serialization heuristic, an exact combinatorial search,
-// and the paper's coloring intLP, all applying the constructive arc
+// the paper's exact integer linear program (Section 3) solved by the MILP
+// engine of internal/solver (a sparse warm-started best-bound search with an
+// optional parallel tree search — see docs/SOLVER.md). Reduction (Section 4)
+// similarly offers the value-serialization heuristic, an exact combinatorial
+// search, and the paper's coloring intLP, all applying the constructive arc
 // insertion of Theorem 4.2.
 package regsat
 
@@ -130,9 +129,9 @@ type (
 	SolverStats = solver.Stats
 )
 
-// SolverBackends lists the registered MILP backends ("dense" — the original
-// tableau engine; "sparse" — the warm-started best-bound rewrite;
-// "parallel" — the same engine with one tree-search worker per CPU).
+// SolverBackends lists the registered MILP backends: "sparse", the
+// warm-started best-bound engine (SolverOptions.Parallel sets its tree-search
+// width).
 func SolverBackends() []string { return solver.Names() }
 
 // ComputeRS computes the register saturation RS_t(G): the exact upper bound

@@ -1,8 +1,9 @@
 package regsat
 
-// Corpus-wide differential tests of the pluggable MILP solving layer: every
-// registered backend must agree with the combinatorial exact search
-// (rs.ExactBB) on the register saturation of every committed corpus graph.
+// Corpus-wide differential tests of the MILP solving layer: the engine's
+// sequential and parallel tree searches, with and without its presolve and
+// cut layers, must agree with the combinatorial exact search (rs.ExactBB) on
+// the register saturation of every committed corpus graph.
 
 import (
 	"context"
@@ -64,12 +65,13 @@ func loadSingleGraph(path string) (*ddg.Graph, error) {
 }
 
 // TestSolverBackendsAgreeOnCorpus: for every corpus graph and register type
-// within the exactness budget, every backend's intLP saturation equals the
-// exact-BB saturation when the solve completes, and never exceeds it when a
-// search limit capped the solve (RS is then a valid lower bound, with the
-// reported interval bracketing the exact value). The sparse engine runs
-// twice — once with its presolve and clique-cut layers, once raw — so the
-// speed layers are differentially proven semantics-free on the whole corpus.
+// within the exactness budget, every solver configuration's intLP saturation
+// equals the exact-BB saturation when the solve completes, and never exceeds
+// it when a search limit capped the solve (RS is then a valid lower bound,
+// with the reported interval bracketing the exact value). The engine runs at
+// one and two tree-search workers, and raw — without its presolve and
+// clique-cut layers — so the parallel search and the speed layers are
+// differentially proven semantics-free on the whole corpus.
 func TestSolverBackendsAgreeOnCorpus(t *testing.T) {
 	maxValues := 8
 	limit := 15 * time.Second
@@ -81,12 +83,11 @@ func TestSolverBackendsAgreeOnCorpus(t *testing.T) {
 		label string
 		opt   solver.Options
 	}
-	var configs []config
-	for _, b := range solver.Names() {
-		configs = append(configs, config{b, solver.Options{Backend: b, TimeLimit: limit}})
+	configs := []config{
+		{"sparse", solver.Options{TimeLimit: limit, Parallel: 1}},
+		{"sparse/parallel=2", solver.Options{TimeLimit: limit, Parallel: 2}},
+		{"sparse/raw", solver.Options{TimeLimit: limit, DisablePresolve: true, DisableCuts: true}},
 	}
-	configs = append(configs, config{"sparse/raw", solver.Options{
-		Backend: "sparse", TimeLimit: limit, DisablePresolve: true, DisableCuts: true}})
 	for _, g := range loadCorpus(t) {
 		for _, typ := range g.Types() {
 			an, err := rs.NewAnalysis(g, typ)
@@ -125,14 +126,14 @@ func TestSolverBackendsAgreeOnCorpus(t *testing.T) {
 }
 
 // TestBatchSolverBackendSelection: BatchOptions.Solver routes every intLP
-// solve of a batch through the selected backend, and the results match the
-// default backend's.
+// solve of a batch through the selected solver configuration, and the
+// parallel tree search's results match the sequential one's.
 func TestBatchSolverBackendSelection(t *testing.T) {
 	type outcome struct {
 		rs    int
 		exact bool
 	}
-	runWith := func(backend string) map[string]outcome {
+	runWith := func(parallel int) map[string]outcome {
 		src, err := SourceDir("testdata")
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +141,7 @@ func TestBatchSolverBackendSelection(t *testing.T) {
 		ch, err := AnalyzeAll(context.Background(), []GraphSource{src}, BatchOptions{
 			RS:     RSOptions{Method: ExactILP, ApplyReductions: true, SkipWitness: true},
 			Types:  []RegType{Float},
-			Solver: SolverOptions{Backend: backend, TimeLimit: 5 * time.Second},
+			Solver: SolverOptions{Parallel: parallel, TimeLimit: 5 * time.Second},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +157,10 @@ func TestBatchSolverBackendSelection(t *testing.T) {
 			}
 			out[res.Name] = outcome{rs: r.RS, exact: r.Exact}
 			if r.SolverStats == nil {
-				t.Fatalf("%s: no solver stats from backend %q", res.Name, backend)
+				t.Fatalf("%s: no solver stats at parallel=%d", res.Name, parallel)
+			}
+			if r.SolverStats.Workers != parallel {
+				t.Fatalf("%s: solve ran %d workers, selected %d", res.Name, r.SolverStats.Workers, parallel)
 			}
 		}
 		return out
@@ -164,12 +168,12 @@ func TestBatchSolverBackendSelection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus batch ILP comparison is slow")
 	}
-	sparse := runWith("sparse")
-	parallel := runWith("parallel")
-	for name, v := range sparse {
+	sequential := runWith(1)
+	parallel := runWith(2)
+	for name, v := range sequential {
 		// Capped solves depend on timing; only proved results must agree.
 		if pv, ok := parallel[name]; ok && v.exact && pv.exact && pv.rs != v.rs {
-			t.Errorf("%s: sparse RS=%d, parallel RS=%d", name, v.rs, pv.rs)
+			t.Errorf("%s: parallel=1 RS=%d, parallel=2 RS=%d", name, v.rs, pv.rs)
 		}
 	}
 }
