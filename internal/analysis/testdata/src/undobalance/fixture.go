@@ -1,5 +1,6 @@
 // Fixture for the undobalance analyzer: guarded probe pushes must be popped
-// on every path; commit pushes and nested-loop control flow are exempt.
+// on every path; Commit is the only unpaired form, and nested-loop control
+// flow is exempt.
 package undobalance
 
 import "regsat/internal/rs"
@@ -17,10 +18,36 @@ func good(ik *rs.Incremental, cands []int) {
 	}
 }
 
-// Unguarded pushes are commits: no pairing required.
+// Commits persist: no pairing required, guarded or not.
 func commit(ik *rs.Incremental) {
-	ik.Push(0, 1)
+	ik.Commit(0, 1)
+	if !ik.Commit(1, 2) {
+		return
+	}
 	work()
+}
+
+// A bare Push leaves a frame no Pop rolls back.
+func unguardedPush(ik *rs.Incremental) {
+	ik.Push(0, 1) // want "Push outside the guarded probe form"
+	work()
+}
+
+// Keeping the result does not make it a probe either.
+func assignedPush(ik *rs.Incremental, cands []int) {
+	for _, c := range cands {
+		ok := ik.Push(0, c) // want "Push outside the guarded probe form"
+		if ok {
+			work()
+		}
+	}
+}
+
+// The positive guard pushes on the success branch with no rollback region.
+func positiveGuard(ik *rs.Incremental) {
+	if ik.Push(0, 1) { // want "Push outside the guarded probe form"
+		work()
+	}
 }
 
 func missingPop(ik *rs.Incremental, cands []int) {

@@ -10,9 +10,10 @@ import (
 // exact search (rs.Incremental): a *probe* push — the guarded form
 // `if !ik.Push(...) { ... }` — must be rolled back by a Pop on every path,
 // and the guard's failure branch must leave the region (Push reported
-// false, so there is no frame to pop). Unguarded `ik.Push(...)` statements
-// are commits (single-killer prefixes, the greedy's final decision) that
-// persist for the remainder of the search and are exempt from pairing.
+// false, so there is no frame to pop). Push in any other form leaves a
+// frame nothing pops and is itself a finding: a decision that persists for
+// the remainder of the search (single-killer prefixes, the greedy's final
+// decision) is an `ik.Commit(...)`, the only unpaired form.
 var UndoBalance = &framework.Analyzer{
 	Name: "undobalance",
 	Doc: "balance rs.Incremental Push/Pop along every control path\n\n" +
@@ -22,7 +23,8 @@ var UndoBalance = &framework.Analyzer{
 		"continue, break) leaves the evaluator permanently corrupted for\n" +
 		"every sibling subtree. Flags: guarded pushes with no block-local\n" +
 		"Pop, control leaving the Push..Pop region, guard failure branches\n" +
-		"that fall through, and Pops with no preceding probe.",
+		"that fall through, Pops with no preceding probe, and Push calls\n" +
+		"outside the guarded probe form (persisting decisions use Commit).",
 	Run: runUndoBalance,
 }
 
@@ -132,6 +134,25 @@ func runUndoBalance(pass *framework.Pass) error {
 	}
 
 	for _, f := range pass.Files {
+		// Every Push call that is not the condition of a guarded probe is
+		// unpaired: report it.
+		probes := map[*ast.CallExpr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if st, ok := n.(ast.Stmt); ok {
+				if push := guardedPush(st); push != nil {
+					probes[push] = true
+				}
+			}
+			return true
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok {
+				if push := incCall(e, "Push"); push != nil && !probes[push] {
+					pass.Reportf(push.Pos(), "Push outside the guarded probe form `if !ik.Push(...) { ... }`: its frame is never popped; use Commit for a decision that persists")
+				}
+			}
+			return true
+		})
 		ast.Inspect(f, func(n ast.Node) bool {
 			block, ok := n.(*ast.BlockStmt)
 			if !ok {

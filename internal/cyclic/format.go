@@ -96,6 +96,7 @@ func columnOf(raw, token string) int {
 func Parse(r io.Reader) (*Loop, error) {
 	sc := bufio.NewScanner(r)
 	var l *Loop
+	names := map[string]int{} // node name → ID, so edges resolve in O(1)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -118,13 +119,13 @@ func Parse(r io.Reader) (*Loop, error) {
 				err = errTok(fields[0], "node before ddg directive")
 				break
 			}
-			err = parseNode(l, fields[1:])
+			err = parseNode(l, names, fields[1:])
 		case "edge":
 			if l == nil {
 				err = errTok(fields[0], "edge before ddg directive")
 				break
 			}
-			err = parseEdge(l, fields[1:])
+			err = parseEdge(l, names, fields[1:])
 		default:
 			err = errTok(fields[0], "unknown directive %q", fields[0])
 		}
@@ -195,12 +196,12 @@ func parseHeader(rest string) (*Loop, *ddg.ParseError) {
 	return New(name, machine), nil
 }
 
-func parseNode(l *Loop, fields []string) *ddg.ParseError {
+func parseNode(l *Loop, names map[string]int, fields []string) *ddg.ParseError {
 	if len(fields) < 1 {
 		return errLine("node needs a name")
 	}
 	name := fields[0]
-	if l.NodeByName(name) >= 0 {
+	if _, dup := names[name]; dup {
 		return errTok(name, "duplicate node %q", name)
 	}
 	op := "op"
@@ -260,6 +261,7 @@ func parseNode(l *Loop, fields []string) *ddg.ParseError {
 		}
 	}
 	id := l.AddNode(name, op, lat)
+	names[name] = id
 	if dr != 0 {
 		l.SetReadDelay(id, dr)
 	}
@@ -269,16 +271,16 @@ func parseNode(l *Loop, fields []string) *ddg.ParseError {
 	return nil
 }
 
-func parseEdge(l *Loop, fields []string) *ddg.ParseError {
+func parseEdge(l *Loop, names map[string]int, fields []string) *ddg.ParseError {
 	if len(fields) < 3 {
 		return errLine("edge needs: from to kind …")
 	}
-	from := l.NodeByName(fields[0])
-	to := l.NodeByName(fields[1])
-	if from < 0 {
+	from, ok := names[fields[0]]
+	if !ok {
 		return errTok(fields[0], "edge references unknown node %q", fields[0])
 	}
-	if to < 0 {
+	to, ok := names[fields[1]]
+	if !ok {
 		return errTok(fields[1], "edge references unknown node %q", fields[1])
 	}
 	parseDist := func(f, v string) (int64, *ddg.ParseError) {

@@ -8,6 +8,7 @@ package ddg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"regsat/internal/graph"
@@ -279,12 +280,27 @@ func (g *Graph) Finalize() error {
 	}
 	bot := g.AddNode("_bot", "bottom", 0)
 	g.bottom = bot
-	// Exit values: values with no consumer get a flow edge to ⊥.
+	// Exit values: values with no consumer get a flow edge to ⊥. One pass
+	// over the edges marks the consumed (node, type) pairs; a node's exit
+	// edges are then emitted in sorted type order, so the edge list — and
+	// with it the structural fingerprint — does not depend on map order.
+	consumed := make([][]RegType, bot)
+	for _, e := range g.edges {
+		if e.Kind == Flow && !slices.Contains(consumed[e.From], e.Type) {
+			consumed[e.From] = append(consumed[e.From], e.Type)
+		}
+	}
+	var exits []RegType
 	for u := 0; u < bot; u++ {
+		exits = exits[:0]
 		for t := range g.nodes[u].Writes {
-			if len(g.Cons(u, t)) == 0 {
-				g.AddFlowEdgeLatency(u, bot, t, g.nodes[u].Latency)
+			if !slices.Contains(consumed[u], t) {
+				exits = append(exits, t)
 			}
+		}
+		slices.Sort(exits)
+		for _, t := range exits {
+			g.AddFlowEdgeLatency(u, bot, t, g.nodes[u].Latency)
 		}
 	}
 	// Serial arc from every other node to ⊥ (latency = source latency),

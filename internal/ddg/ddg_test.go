@@ -416,3 +416,28 @@ func TestParseErrorPositions(t *testing.T) {
 		}
 	}
 }
+
+// TestFinalizeExitEdgesSortedByType pins the order of a node's exit edges:
+// one flow edge to ⊥ per unconsumed type, in sorted type order, whatever
+// order the types were declared in.
+func TestFinalizeExitEdgesSortedByType(t *testing.T) {
+	for _, declared := range [][]RegType{{Int, Float}, {Float, Int}} {
+		g := New("exits", Superscalar)
+		a := g.AddNode("a", "op", 1)
+		for _, typ := range declared {
+			g.SetWrites(a, typ, 0)
+		}
+		if err := g.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		var got []RegType
+		for _, e := range g.Edges() {
+			if e.Kind == Flow && e.To == g.Bottom() {
+				got = append(got, e.Type)
+			}
+		}
+		if len(got) != 2 || got[0] != Float || got[1] != Int {
+			t.Fatalf("declared %v: exit edges carry %v, want [float int]", declared, got)
+		}
+	}
+}

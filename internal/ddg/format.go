@@ -88,6 +88,7 @@ func columnOf(raw, token string) int {
 func Parse(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	var g *Graph
+	names := map[string]int{} // node name → ID, so edges resolve in O(1)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -114,13 +115,13 @@ func Parse(r io.Reader) (*Graph, error) {
 				err = errTok(fields[0], "node before ddg directive")
 				break
 			}
-			err = parseNode(g, fields[1:])
+			err = parseNode(g, names, fields[1:])
 		case "edge":
 			if g == nil {
 				err = errTok(fields[0], "edge before ddg directive")
 				break
 			}
-			err = parseEdge(g, fields[1:])
+			err = parseEdge(g, names, fields[1:])
 		default:
 			err = errTok(fields[0], "unknown directive %q", fields[0])
 		}
@@ -186,12 +187,12 @@ func parseHeader(rest string) (string, MachineKind, *ParseError) {
 	return name, machine, nil
 }
 
-func parseNode(g *Graph, fields []string) *ParseError {
+func parseNode(g *Graph, names map[string]int, fields []string) *ParseError {
 	if len(fields) < 1 {
 		return errLine("node needs a name")
 	}
 	name := fields[0]
-	if g.NodeByName(name) >= 0 {
+	if _, dup := names[name]; dup {
 		return errTok(name, "duplicate node %q", name)
 	}
 	op := "op"
@@ -251,6 +252,7 @@ func parseNode(g *Graph, fields []string) *ParseError {
 		}
 	}
 	id := g.AddNode(name, op, lat)
+	names[name] = id
 	if dr != 0 {
 		g.SetReadDelay(id, dr)
 	}
@@ -260,16 +262,16 @@ func parseNode(g *Graph, fields []string) *ParseError {
 	return nil
 }
 
-func parseEdge(g *Graph, fields []string) *ParseError {
+func parseEdge(g *Graph, names map[string]int, fields []string) *ParseError {
 	if len(fields) < 3 {
 		return errLine("edge needs: from to kind …")
 	}
-	from := g.NodeByName(fields[0])
-	to := g.NodeByName(fields[1])
-	if from < 0 {
+	from, ok := names[fields[0]]
+	if !ok {
 		return errTok(fields[0], "edge references unknown node %q", fields[0])
 	}
-	if to < 0 {
+	to, ok := names[fields[1]]
+	if !ok {
 		return errTok(fields[1], "edge references unknown node %q", fields[1])
 	}
 	if from == to {

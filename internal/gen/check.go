@@ -183,7 +183,7 @@ func checkType(ctx context.Context, g *ddg.Graph, t ddg.RegType, opt CheckOption
 	ik := rs.NewIncremental(an)
 	forcedOK := true
 	for i := 0; i < nv; i++ {
-		if len(an.PKill[i]) == 1 && !ik.Push(i, an.PKill[i][0]) {
+		if len(an.PKill[i]) == 1 && !ik.Commit(i, an.PKill[i][0]) {
 			forcedOK = false
 			break
 		}

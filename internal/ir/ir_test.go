@@ -291,6 +291,33 @@ func TestFingerprintIgnoresNames(t *testing.T) {
 	}
 }
 
+// TestFingerprintStableAcrossParses parses one text 50 times and requires
+// a single fingerprint. Node a writes int and float and neither value has a
+// consumer, so Finalize adds two exit edges to ⊥; if their order followed
+// Go's randomized map iteration, equal texts would hash apart and miss the
+// memo and the store.
+func TestFingerprintStableAcrossParses(t *testing.T) {
+	const text = `ddg "two-exits" machine=superscalar
+node a op=divmod lat=2 writes=int,float
+node b op=use lat=1
+edge a b serial lat=2
+`
+	seen := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		g, err := ddg.ParseString(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		seen[Fingerprint(g)] = true
+	}
+	if len(seen) != 1 {
+		t.Fatalf("50 parses of one text gave %d distinct fingerprints", len(seen))
+	}
+}
+
 var sinkSnapshot *Snapshot
 
 // BenchmarkIRBuild measures one full snapshot construction (CSR, topological

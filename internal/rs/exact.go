@@ -47,10 +47,11 @@ func ExactBB(an *Analysis, maxLeaves int64) (*RSResult, *ExactStats, error) {
 	// Branch only on multi-choice values, most-constrained (fewest killers)
 	// first; single-choice killers are fixed up front (they push no arcs, so
 	// they can never fail, but their order pairs participate in every bound).
+	// They are commits: the dive never pops below them.
 	var branch []int
 	for i := 0; i < nv; i++ {
 		if len(an.PKill[i]) == 1 {
-			ik.Push(i, an.PKill[i][0])
+			ik.Commit(i, an.PKill[i][0])
 		} else {
 			branch = append(branch, i)
 		}

@@ -53,12 +53,13 @@ func GreedyWithScoring(an *Analysis, scoring GreedyScoring) (*RSResult, error) {
 
 	// Values with a single potential killer are fixed up front (they push no
 	// enforcement arcs, but their induced order pairs participate in the
-	// scoring of every later decision).
+	// scoring of every later decision). Every decision the greedy keeps is a
+	// Commit; only the candidate probes are pushed and popped.
 	ik := NewIncremental(an)
 	defer ik.release() // results are copied out of ik before returning
 	for i := 0; i < nv; i++ {
 		if len(an.PKill[i]) == 1 {
-			ik.Push(i, an.PKill[i][0])
+			ik.Commit(i, an.PKill[i][0])
 		}
 	}
 	for _, i := range order {
@@ -90,7 +91,7 @@ func GreedyWithScoring(an *Analysis, scoring GreedyScoring) (*RSResult, error) {
 			// back to searching any valid completion from scratch.
 			return greedyFallback(an, order)
 		}
-		ik.Push(i, bestCand)
+		ik.Commit(i, bestCand)
 	}
 
 	k, err := NewKilling(an, ik.Killers())

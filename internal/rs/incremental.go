@@ -1,6 +1,7 @@
 package rs
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
 
@@ -10,10 +11,12 @@ import (
 // Incremental is the incremental killing-function evaluator behind ExactBB
 // and Greedy-k. It maintains, across a branch-and-bound dive:
 //
-//   - the all-pairs longest-path matrix of the *extended* graph G→k restricted
-//     to the killers decided so far, updated in place when a decision pushes
-//     enforcement arcs (delta propagation touches only the affected pairs:
-//     sources reaching the arc tail × sinks reachable from the arc head);
+//   - the longest-path matrix of the *extended* graph G→k restricted to the
+//     killers decided so far, over the type's interest set
+//     K_t = V_{R,t} ∪ ⋃ pkill (see below), updated in place when a decision
+//     pushes enforcement arcs (delta propagation touches only the affected
+//     pairs: sources reaching the arc tail × sinks reachable from the arc
+//     head);
 //   - the lifetime order DV_k as one bitset row per value, grown monotonically
 //     as decisions commit (adding arcs can only lengthen paths, so order bits
 //     are only ever set, never cleared, along a dive);
@@ -23,25 +26,36 @@ import (
 //     sweep at incumbent improvements;
 //   - a trail of per-decision frames so Pop restores every structure exactly.
 //
-// Compared to the previous per-node rebuild (a fresh digraph plus a full
-// LongestAllPairs and matching solve per leaf and per bound evaluation), a
+// The matrix covers K_t only. Every enforcement arc joins two potential
+// killers, so a longest path of G→k between two K_t nodes splits at its
+// enforcement arcs into base-graph segments whose endpoints are all in K_t;
+// the base segments are the snapshot's longest paths between K_t nodes, and
+// the delta rule d[u][v] ← max(d[u][v], d[u][a] + w + d[b][v]) reads and
+// writes K_t cells only. Every query the search makes — the cycle test
+// d[b][a], lp(killer, value) for the order — is a K_t pair too.
+//
 // Push costs O(|srcs|·|dsts|) per arc plus one Kuhn sweep over the unmatched
 // vertices, and a Pop is a plain undo-log replay: matrix cells and matching
 // edges are logged as they are overwritten and restored in reverse order.
+// Commit is a Push that is never popped: it logs only while the decision is
+// being merged and leaves the undo logs and the trail as it found them.
 //
-// The only O(n²) allocation is the matrix d, taken from a package pool;
+// The only O(|K_t|²) allocation is the matrix d, taken from a package pool;
 // the search drivers hand it back with release once their result is out.
 // An evaluator that is never released is simply left to the collector.
 //
 // An Incremental is single-goroutine; the snapshot it reads from is shared.
 type Incremental struct {
 	an *Analysis
-	n  int     // node count
+	nk int     // |K_t|
 	nv int     // value count
-	d  []int64 // n×n row-major longest-path matrix of the current extension (pooled)
+	d  []int64 // nk×nk row-major longest-path matrix of the current extension (pooled)
+
+	kNode []int   // K index → node ID, increasing
+	kOf   []int32 // node ID → K index, -1 outside K_t
 
 	decided  []int   // killer node per value, -1 = undecided
-	byKiller [][]int // node → stack of decided value indices using it as killer
+	byKiller [][]int // K index → stack of decided value indices using it as killer
 	depth    int     // decided count
 
 	less []graph.BitSet // DV_k rows over value indices
@@ -57,8 +71,9 @@ type Incremental struct {
 	rightSeen      []int64 // Kuhn DFS marks, restamped per sweep and per augmentation
 	seenStamp      int64
 
-	valIndex []int   // node → value index, -1 for non-values
-	delayR   []int64 // node → δr
+	valIndex []int   // K index → value index, -1 for non-values
+	valK     []int   // value index → K index
+	delayR   []int64 // K index → δr
 	delayW   []int64 // value index → δw
 
 	trail      []frame
@@ -69,9 +84,9 @@ type Incremental struct {
 	srcs, dsts []int32 // scratch for delta propagation
 }
 
-// cellDelta records one overwrite of matrix cell idx. A cell raised by
-// several arcs of one Push is logged once per write, so restoring a frame's
-// deltas in reverse order ends on the pre-Push value.
+// cellDelta records one overwrite of matrix cell idx (row-major over K_t).
+// A cell raised by several arcs of one Push is logged once per write, so
+// restoring a frame's deltas in reverse order ends on the pre-Push value.
 type cellDelta struct {
 	idx int
 	old int64
@@ -96,8 +111,8 @@ type frame struct {
 	oldMatchSize  int
 }
 
-// matrixPool recycles the n²·8-byte working matrices across evaluators. A
-// pooled matrix needs no clearing: NewIncremental overwrites every cell.
+// matrixPool recycles the |K_t|²·8-byte working matrices across evaluators.
+// A pooled matrix needs no clearing: NewIncremental overwrites every cell.
 var matrixPool sync.Pool // of *[]int64
 
 func pooledMatrix(size int) []int64 {
@@ -120,26 +135,50 @@ func (ik *Incremental) release() {
 }
 
 // NewIncremental creates an evaluator positioned at the empty decision (no
-// killer chosen, the extension equals the base graph).
+// killer chosen, the extension equals the base graph). Its matrix is the
+// snapshot's longest paths gathered over K_t.
 func NewIncremental(an *Analysis) *Incremental {
 	n := an.G.NumNodes()
 	nv := len(an.Values)
 	ik := &Incremental{
-		an:       an,
-		n:        n,
-		nv:       nv,
-		d:        pooledMatrix(n * n),
-		decided:  make([]int, nv),
-		byKiller: make([][]int, n),
-		less:     make([]graph.BitSet, nv),
-		valIndex: make([]int, n),
-		delayR:   make([]int64, n),
-		delayW:   make([]int64, nv),
+		an:      an,
+		nv:      nv,
+		kOf:     make([]int32, n),
+		decided: make([]int, nv),
+		less:    make([]graph.BitSet, nv),
+		valK:    make([]int, nv),
+		delayW:  make([]int64, nv),
 	}
-	for u := 0; u < n; u++ {
-		copy(ik.d[u*n:(u+1)*n], an.AP.D[u])
-		ik.valIndex[u] = -1
-		ik.delayR[u] = an.G.Node(u).DelayR
+	for u := range ik.kOf {
+		ik.kOf[u] = -1
+	}
+	// Mark K_t with 0, then number its nodes in increasing ID order.
+	for i, v := range an.Values {
+		ik.kOf[v] = 0
+		for _, k := range an.PKill[i] {
+			ik.kOf[k] = 0
+		}
+	}
+	for u, mark := range ik.kOf {
+		if mark == 0 {
+			ik.kOf[u] = int32(len(ik.kNode))
+			ik.kNode = append(ik.kNode, u)
+		}
+	}
+	nk := len(ik.kNode)
+	ik.nk = nk
+	ik.d = pooledMatrix(nk * nk)
+	ik.byKiller = make([][]int, nk)
+	ik.valIndex = make([]int, nk)
+	ik.delayR = make([]int64, nk)
+	for a, u := range ik.kNode {
+		row := an.AP.D[u]
+		dRow := ik.d[a*nk : (a+1)*nk]
+		for b, v := range ik.kNode {
+			dRow[b] = row[v]
+		}
+		ik.valIndex[a] = -1
+		ik.delayR[a] = an.G.Node(u).DelayR
 	}
 	ik.matchL = make([]int, nv)
 	ik.matchR = make([]int, nv)
@@ -147,7 +186,8 @@ func NewIncremental(an *Analysis) *Incremental {
 	for i := range ik.decided {
 		ik.decided[i] = -1
 		ik.less[i] = graph.NewBitSet(nv)
-		ik.valIndex[an.Values[i]] = i
+		ik.valK[i] = int(ik.kOf[an.Values[i]])
+		ik.valIndex[ik.valK[i]] = i
 		ik.delayW[i] = an.DelayW(i)
 		ik.matchL[i] = -1
 		ik.matchR[i] = -1
@@ -170,22 +210,54 @@ func (ik *Incremental) Killers() []int {
 // (v′, killer) for every other potential killer v′, propagates the longest
 // -path deltas, and extends the DV_k order rows. It reports false — leaving
 // the evaluator unchanged — when the arcs would close a cycle (an invalid
-// killing function, possible on VLIW/EPIC offsets only).
+// killing function, possible on VLIW/EPIC offsets only). A successful Push
+// leaves a trail frame that the matching Pop replays.
 func (ik *Incremental) Push(i, killer int) bool {
+	fr, ok := ik.apply(i, killer)
+	if ok {
+		ik.trail = append(ik.trail, fr)
+	}
+	return ok
+}
+
+// Commit is Push for a decision that is never popped: single-killer
+// prefixes and the greedy's final choice per value. It leaves no trail
+// frame, and the undo logs end as long as they were before the call, so
+// the logs of a long dive hold only the live probe frames. Commit panics
+// while a pushed frame is live: that frame's Pop would restore cells the
+// commit had raised since.
+func (ik *Incremental) Commit(i, killer int) bool {
+	if len(ik.trail) > 0 {
+		panic("rs: Commit above a live Push frame")
+	}
+	fr, ok := ik.apply(i, killer)
+	if ok {
+		ik.cellArena = ik.cellArena[:fr.cellStart]
+		ik.bitArena = ik.bitArena[:fr.bitStart]
+		ik.matchArena = ik.matchArena[:fr.matchStart]
+	}
+	return ok
+}
+
+// apply merges decision (i, killer) and returns its undo frame; the deltas
+// it logged are the frame's arena suffixes.
+func (ik *Incremental) apply(i, killer int) (frame, bool) {
 	fr := frame{value: i, killer: killer,
 		cellStart: len(ik.cellArena), bitStart: len(ik.bitArena),
 		matchStart: len(ik.matchArena), oldMatchSize: ik.matchSize}
+	kk := int(ik.kOf[killer])
 	for _, other := range ik.an.PKill[i] {
 		if other == killer {
 			continue
 		}
-		if !ik.addArc(other, killer, ik.delayR[other]-ik.delayR[killer]) {
+		ko := int(ik.kOf[other])
+		if !ik.addArc(ko, kk, ik.delayR[ko]-ik.delayR[kk]) {
 			// Cycle: undo the cells of the arcs already applied.
 			ik.restoreCells(fr.cellStart)
-			return false
+			return fr, false
 		}
 	}
-	ik.updateOrder(i, killer, &fr)
+	ik.updateOrder(i, kk, &fr)
 	if len(ik.bitArena) > fr.bitStart {
 		// New comparability edges: restore maximality with one Kuhn sweep
 		// from the unmatched left vertices (a vertex with no augmenting path
@@ -204,10 +276,9 @@ func (ik *Incremental) Push(i, killer int) bool {
 		}
 	}
 	ik.decided[i] = killer
-	ik.byKiller[killer] = append(ik.byKiller[killer], i)
+	ik.byKiller[kk] = append(ik.byKiller[kk], i)
 	ik.depth++
-	ik.trail = append(ik.trail, fr)
-	return true
+	return fr, true
 }
 
 // Pop undoes the most recent Push.
@@ -227,8 +298,9 @@ func (ik *Incremental) Pop() {
 	ik.matchArena = ik.matchArena[:fr.matchStart]
 	ik.matchSize = fr.oldMatchSize
 	ik.decided[fr.value] = -1
-	s := ik.byKiller[fr.killer]
-	ik.byKiller[fr.killer] = s[:len(s)-1]
+	kk := ik.kOf[fr.killer]
+	s := ik.byKiller[kk]
+	ik.byKiller[kk] = s[:len(s)-1]
 	ik.depth--
 }
 
@@ -313,37 +385,42 @@ func (ik *Incremental) AntichainMembers() []int {
 	return members
 }
 
-// addArc merges one enforcement arc a→b of weight w into the matrix. A new
-// longest path through the arc decomposes as u ⇝ a, (a,b), b ⇝ v with both
-// halves in the pre-arc graph, so the update is exact per arc and arcs of
-// one Push compose by sequential application. Every raised cell is logged,
-// once per write. Returns false on a cycle (b already reaches a).
+// addArc merges one enforcement arc a→b of weight w (K indices) into the
+// matrix. A new longest path through the arc decomposes as u ⇝ a, (a,b),
+// b ⇝ v with both halves in the pre-arc graph, so the update is exact per
+// arc and arcs of one Push compose by sequential application. Every raised
+// cell is logged, once per write. Returns false on a cycle (b already
+// reaches a).
 func (ik *Incremental) addArc(a, b int, w int64) bool {
-	n := ik.n
-	if ik.d[b*n+a] != graph.NoPath {
+	nk := ik.nk
+	if ik.d[b*nk+a] != graph.NoPath {
 		return false // a→b would close a cycle through the existing b ⇝ a
+	}
+	if lp := ik.d[a*nk+b]; lp != graph.NoPath && lp >= w {
+		// Implied: every u ⇝ a → b ⇝ v is dominated by u ⇝ a ⇝ b ⇝ v.
+		return true
 	}
 	ik.srcs = ik.srcs[:0]
 	ik.dsts = ik.dsts[:0]
-	for u := 0; u < n; u++ {
-		if ik.d[u*n+a] != graph.NoPath {
+	for u := 0; u < nk; u++ {
+		if ik.d[u*nk+a] != graph.NoPath {
 			ik.srcs = append(ik.srcs, int32(u))
 		}
 	}
-	rowB := ik.d[b*n : (b+1)*n]
-	for v := 0; v < n; v++ {
+	rowB := ik.d[b*nk : (b+1)*nk]
+	for v := 0; v < nk; v++ {
 		if rowB[v] != graph.NoPath {
 			ik.dsts = append(ik.dsts, int32(v))
 		}
 	}
 	for _, u32 := range ik.srcs {
 		u := int(u32)
-		base := ik.d[u*n+a] + w
-		rowU := ik.d[u*n : (u+1)*n]
+		base := ik.d[u*nk+a] + w
+		rowU := ik.d[u*nk : (u+1)*nk]
 		for _, v32 := range ik.dsts {
 			v := int(v32)
 			if cand := base + rowB[v]; cand > rowU[v] {
-				ik.cellArena = append(ik.cellArena, cellDelta{idx: u*n + v, old: rowU[v]})
+				ik.cellArena = append(ik.cellArena, cellDelta{idx: u*nk + v, old: rowU[v]})
 				rowU[v] = cand
 			}
 		}
@@ -356,19 +433,23 @@ func (ik *Incremental) addArc(a, b int, w int64) bool {
 // earlier decisions gain exactly the pairs whose deciding longest path grew
 // (found from the changed cells, not by rescanning the matrix). A cell logged
 // more than once is read at its final value each time, so its repeats set
-// no new bits.
-func (ik *Incremental) updateOrder(i, killer int, fr *frame) {
-	n := ik.n
+// no new bits. kk is the killer's K index.
+func (ik *Incremental) updateOrder(i, kk int, fr *frame) {
+	nk := ik.nk
 	// Pairs of previously decided values whose lp(k(i′), v_j) changed.
 	for ci := fr.cellStart; ci < len(ik.cellArena); ci++ {
 		c := ik.cellArena[ci]
-		u, v := c.idx/n, c.idx%n
-		j := ik.valIndex[v]
+		u := c.idx / nk
+		killed := ik.byKiller[u]
+		if len(killed) == 0 {
+			continue
+		}
+		j := ik.valIndex[c.idx%nk]
 		if j < 0 {
 			continue
 		}
 		lp := ik.d[c.idx]
-		for _, ip := range ik.byKiller[u] {
+		for _, ip := range killed {
 			if ip == j || ik.less[ip].Get(j) {
 				continue
 			}
@@ -379,13 +460,13 @@ func (ik *Incremental) updateOrder(i, killer int, fr *frame) {
 		}
 	}
 	// Full row of the freshly decided value i.
-	kRead := ik.delayR[killer]
-	rowK := ik.d[killer*n : (killer+1)*n]
-	for j, vj := range ik.an.Values {
+	kRead := ik.delayR[kk]
+	rowK := ik.d[kk*nk : (kk+1)*nk]
+	for j, vk := range ik.valK {
 		if j == i {
 			continue
 		}
-		lp := rowK[vj]
+		lp := rowK[vk]
 		if lp == graph.NoPath || lp < kRead-ik.delayW[j] {
 			continue
 		}
@@ -404,8 +485,15 @@ func (ik *Incremental) Antichain() *graph.AntichainResult {
 	return graph.OrderFromRows(ik.less).MaximumAntichain()
 }
 
-// LongestPath returns the longest path u ⇝ v in the current extension.
-func (ik *Incremental) LongestPath(u, v int) int64 { return ik.d[u*ik.n+v] }
+// LongestPath returns the longest path u ⇝ v in the current extension. Both
+// nodes must be in the interest set K_t (values and potential killers).
+func (ik *Incremental) LongestPath(u, v int) int64 {
+	a, b := ik.kOf[u], ik.kOf[v]
+	if a < 0 || b < 0 {
+		panic(fmt.Sprintf("rs: LongestPath(%d, %d) outside the interest set", u, v))
+	}
+	return ik.d[int(a)*ik.nk+int(b)]
+}
 
 // Less reports whether value i's lifetime provably ends before value j's
 // starts under the decisions made so far.

@@ -220,6 +220,7 @@ type ikState struct {
 	matchSize, bound   int
 	depth              int
 	cells, bits, flips int
+	frames             int
 }
 
 func snapshotState(ik *Incremental) ikState {
@@ -234,6 +235,7 @@ func snapshotState(ik *Incremental) ikState {
 		cells:     len(ik.cellArena),
 		bits:      len(ik.bitArena),
 		flips:     len(ik.matchArena),
+		frames:    len(ik.trail),
 	}
 	for _, row := range ik.less {
 		st.less = append(st.less, append([]uint64(nil), row...))
@@ -246,7 +248,8 @@ func requireState(t *testing.T, ik *Incremental, want ikState, where string) {
 	t.Helper()
 	for idx, v := range ik.d {
 		if v != want.d[idx] {
-			t.Fatalf("%s: matrix cell (%d,%d) = %d, want %d", where, idx/ik.n, idx%ik.n, v, want.d[idx])
+			t.Fatalf("%s: matrix cell (%d,%d) = %d, want %d",
+				where, ik.kNode[idx/ik.nk], ik.kNode[idx%ik.nk], v, want.d[idx])
 		}
 	}
 	for i, row := range ik.less {
@@ -275,12 +278,47 @@ func requireState(t *testing.T, ik *Incremental, want ikState, where string) {
 		t.Fatalf("%s: undo logs hold %d/%d/%d entries, want %d/%d/%d", where,
 			len(ik.cellArena), len(ik.bitArena), len(ik.matchArena), want.cells, want.bits, want.flips)
 	}
+	if len(ik.trail) != want.frames {
+		t.Fatalf("%s: trail holds %d frames, want %d", where, len(ik.trail), want.frames)
+	}
+}
+
+// interestSet gathers K_t = V_{R,t} ∪ ⋃ pkill independently of the
+// evaluator: the node IDs, increasing.
+func interestSet(an *Analysis) []int {
+	in := map[int]bool{}
+	for i, v := range an.Values {
+		in[v] = true
+		for _, k := range an.PKill[i] {
+			in[k] = true
+		}
+	}
+	var out []int
+	for u := 0; u < an.G.NumNodes(); u++ {
+		if in[u] {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// requireInterestSet fails unless the evaluator's matrix spans exactly K_t.
+func requireInterestSet(t *testing.T, ik *Incremental, an *Analysis) {
+	t.Helper()
+	want := interestSet(an)
+	if fmt.Sprint(ik.kNode) != fmt.Sprint(want) {
+		t.Fatalf("%s/%s: interest set %v, want %v", an.G.Name, an.Type, ik.kNode, want)
+	}
+	if len(ik.d) != len(want)*len(want) {
+		t.Fatalf("%s/%s: matrix holds %d cells, want |K_t|² = %d", an.G.Name, an.Type, len(ik.d), len(want)*len(want))
+	}
 }
 
 // TestIncrementalPushPopRestores checks, across random push/pop sequences,
-// that every Pop restores the evaluator — matrix, order rows, matching,
-// killer assignment, bound and undo logs — exactly to the state before its
-// Push, and that a rejected Push leaves that state untouched. The last 15
+// that every Pop restores the evaluator — the K_t matrix, order rows,
+// matching, killer assignment, bound, undo logs and trail — exactly to the
+// state before its Push, and that a rejected Push leaves that state
+// untouched. The last 15
 // trials use larger, sparser VLIW graphs, and the test requires the hard
 // rejection case to occur there: a Push refused by a later arc after its
 // first arc was already merged into the matrix.
@@ -308,6 +346,7 @@ func TestIncrementalPushPopRestores(t *testing.T) {
 				t.Fatal(err)
 			}
 			ik := NewIncremental(an)
+			requireInterestSet(t, ik, an)
 			var stack []ikState // pre-Push state of every live decision
 			for step := 0; step < 200; step++ {
 				where := fmt.Sprintf("%s/%s trial %d step %d", g.Name, typ, trial, step)
@@ -367,7 +406,7 @@ func TestIncrementalPushPopRestores(t *testing.T) {
 func firstArcApplies(ik *Incremental, i, killer int) bool {
 	for _, other := range ik.an.PKill[i] {
 		if other != killer {
-			return ik.d[killer*ik.n+other] == graph.NoPath && ik.d[other*ik.n+killer] == graph.NoPath
+			return ik.LongestPath(killer, other) == graph.NoPath && ik.LongestPath(other, killer) == graph.NoPath
 		}
 	}
 	return false
@@ -375,13 +414,14 @@ func firstArcApplies(ik *Incremental, i, killer int) bool {
 
 // TestIncrementalRepeatedCellRestores pins the reverse-order cell trail on a
 // Push whose two arcs raise the same cell: value s has potential killers
-// k, o1 and o2, and r reaches o1 in 2 cycles and o2 in 5. Deciding k adds
-// o1→k, raising lp(r, k) from no path to 2, then o2→k, raising it to 5. Pop
-// must end on the pre-Push value, no path, not on the intermediate 2.
+// k, o1 and o2, and value r reaches o1 in 2 cycles and o2 in 5. Deciding k
+// adds o1→k, raising lp(r, k) from no path to 2, then o2→k, raising it to
+// 5. Pop must end on the pre-Push value, no path, not on the intermediate 2.
+// (r writes a value of its own so that it is in the interest set K_t.)
 func TestIncrementalRepeatedCellRestores(t *testing.T) {
 	g, err := ddg.ParseString(`ddg "double-raise" machine=superscalar
 node s op=ld lat=1 writes=float
-node r op=op lat=1
+node r op=op lat=1 writes=float
 node k op=use lat=1
 node o1 op=use lat=1
 node o2 op=use lat=1
@@ -401,11 +441,12 @@ edge r o2 serial lat=5
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(an.Values) != 1 || len(an.PKill[0]) != 3 {
-		t.Fatalf("want one value with 3 potential killers, got PKill %v", an.PKill)
+	if len(an.Values) != 2 || len(an.PKill[0]) != 3 {
+		t.Fatalf("want value s with 3 potential killers and value r, got PKill %v", an.PKill)
 	}
 	r, k := g.NodeByName("r"), g.NodeByName("k")
 	ik := NewIncremental(an)
+	requireInterestSet(t, ik, an)
 	before := snapshotState(ik)
 	if !ik.Push(0, k) {
 		t.Fatal("Push(s, k) rejected on a superscalar graph")
@@ -414,8 +455,9 @@ edge r o2 serial lat=5
 		t.Fatalf("lp(r, k) after Push = %d, want 5", got)
 	}
 	writes := 0
+	cell := int(ik.kOf[r])*ik.nk + int(ik.kOf[k])
 	for _, c := range ik.cellArena[ik.trail[0].cellStart:] {
-		if c.idx == r*ik.n+k {
+		if c.idx == cell {
 			writes++
 		}
 	}
@@ -424,6 +466,160 @@ edge r o2 serial lat=5
 	}
 	ik.Pop()
 	requireState(t, ik, before, "after Pop")
+}
+
+// TestIncrementalCommitLeavesNoUndo checks Commit's contract on random
+// graphs: a successful Commit leaves the undo logs and the trail exactly as
+// long as before it, a rejected one leaves the whole state untouched, and a
+// probe Push/Pop after any number of commits restores the post-commit state
+// exactly.
+func TestIncrementalCommitLeavesNoUndo(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	commits, rejects := 0, 0
+	for trial := 0; trial < 30; trial++ {
+		p := ddg.DefaultRandomParams(10 + rng.Intn(10))
+		if trial%2 == 1 {
+			p.Machine = ddg.VLIW
+			p.EdgeProb = 0.2
+		}
+		p.Types = []ddg.RegType{ddg.Int, ddg.Float}
+		g := ddg.RandomGraph(rng, p)
+		for _, typ := range g.Types() {
+			an, err := NewAnalysis(g, typ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ik := NewIncremental(an)
+			for _, i := range rng.Perm(len(an.Values)) {
+				where := fmt.Sprintf("%s/%s trial %d value %d", g.Name, typ, trial, i)
+				// Probe every candidate first: each Pop must restore the
+				// state the commits so far left behind.
+				for _, cand := range an.PKill[i] {
+					before := snapshotState(ik)
+					if ik.Push(i, cand) {
+						ik.Pop()
+					}
+					requireState(t, ik, before, where+" after probe")
+				}
+				cand := an.PKill[i][rng.Intn(len(an.PKill[i]))]
+				before := snapshotState(ik)
+				if !ik.Commit(i, cand) {
+					rejects++
+					requireState(t, ik, before, where+" after rejected Commit")
+					continue
+				}
+				commits++
+				if ik.Killer(i) != cand || ik.Depth() != before.depth+1 {
+					t.Fatalf("%s: Commit did not decide the value", where)
+				}
+				if len(ik.cellArena) != before.cells || len(ik.bitArena) != before.bits ||
+					len(ik.matchArena) != before.flips || len(ik.trail) != before.frames {
+					t.Fatalf("%s: Commit left undo entries: logs %d/%d/%d, trail %d; want %d/%d/%d, %d", where,
+						len(ik.cellArena), len(ik.bitArena), len(ik.matchArena), len(ik.trail),
+						before.cells, before.bits, before.flips, before.frames)
+				}
+			}
+		}
+	}
+	if commits == 0 || rejects == 0 {
+		t.Fatalf("want both outcomes exercised: %d commits, %d rejected", commits, rejects)
+	}
+	t.Logf("%d commits, %d rejected", commits, rejects)
+}
+
+// TestIncrementalCommitAboveFramePanics pins the guard: a Commit with a
+// live Push frame would be partly undone by that frame's Pop.
+func TestIncrementalCommitAboveFramePanics(t *testing.T) {
+	g := loadCorpus(t)[0]
+	an, err := NewAnalysis(g, g.Types()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(an.Values) < 2 {
+		t.Skip("needs two values")
+	}
+	ik := NewIncremental(an)
+	if !ik.Push(0, an.PKill[0][0]) {
+		t.Fatal("first Push rejected")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Commit above a live frame did not panic")
+		}
+	}()
+	ik.Commit(1, an.PKill[1][0])
+}
+
+// TestIncrementalKSpaceLongestPath checks the interest-set closure argument
+// along random dives: after every Push, Commit and Pop, each K_t pair's
+// LongestPath equals the longest path of the from-scratch extended graph
+// (the base graph plus the enforcement arcs of the decided values).
+func TestIncrementalKSpaceLongestPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(424))
+	checked := 0
+	for trial := 0; trial < 24; trial++ {
+		p := ddg.DefaultRandomParams(10 + rng.Intn(14))
+		p.Machine = []ddg.MachineKind{ddg.Superscalar, ddg.VLIW, ddg.EPIC}[trial%3]
+		p.Types = []ddg.RegType{ddg.Int, ddg.Float}
+		if trial%2 == 1 {
+			p.EdgeProb = 0.2
+		}
+		g := ddg.RandomGraph(rng, p)
+		for _, typ := range g.Types() {
+			an, err := NewAnalysis(g, typ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ik := NewIncremental(an)
+			kset := interestSet(an)
+			compare := func(where string) {
+				killer := ik.Killers()
+				dg := an.IR.Digraph()
+				for i, k := range killer {
+					if k >= 0 {
+						addEnforcement(dg, an, i, k)
+					}
+				}
+				ap, err := dg.LongestAllPairs()
+				if err != nil {
+					t.Fatalf("%s/%s %s: extended graph cyclic after an accepted decision: %v", g.Name, typ, where, err)
+				}
+				for _, u := range kset {
+					for _, v := range kset {
+						if got, want := ik.LongestPath(u, v), ap.D[u][v]; got != want {
+							t.Fatalf("%s/%s %s: lp(%d,%d) = %d, extended graph says %d (killers %v)",
+								g.Name, typ, where, u, v, got, want, killer)
+						}
+					}
+				}
+				checked++
+			}
+			compare("root")
+			pushed := 0
+			for _, i := range rng.Perm(len(an.Values)) {
+				cand := an.PKill[i][rng.Intn(len(an.PKill[i]))]
+				switch {
+				case pushed == 0 && rng.Intn(3) == 0:
+					if ik.Commit(i, cand) {
+						compare("after Commit")
+					}
+				case ik.Push(i, cand):
+					pushed++
+					compare("after Push")
+					if rng.Intn(4) == 0 {
+						ik.Pop()
+						pushed--
+						compare("after Pop")
+					}
+				}
+			}
+			for ; pushed > 0; pushed-- {
+				ik.Pop()
+				compare("unwind")
+			}
+		}
+	}
+	t.Logf("compared K_t longest paths at %d dive states", checked)
 }
 
 // TestExactBBMatchesReference pins the incremental ExactBB to the retained
