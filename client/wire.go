@@ -1,8 +1,11 @@
 // Package client is the Go client for rsd, the register-saturation analysis
 // daemon (internal/service, cmd/rsd). It also defines the daemon's wire
-// types: plain JSON structs with no dependency on the analysis internals,
-// shared by both sides of the API.
+// types: plain JSON structs with no dependency on the analysis internals
+// (the trace span types alias the tracer's export form), shared by both
+// sides of the API.
 package client
+
+import "regsat/internal/obs"
 
 // AnalyzeRequest submits DDGs for register-saturation analysis
 // (POST /v1/analyze). Graphs carry inline .ddg text; Corpus names files or
@@ -120,28 +123,13 @@ type AnalyzeResponse struct {
 	Spans []TraceSpan `json:"spans,omitempty"`
 }
 
-// TraceSpan is one finished span of a recorded trace on the wire — the same
-// JSON schema as internal/obs.SpanData and each NDJSON line of
-// GET /v1/trace/{id}.
-type TraceSpan struct {
-	TraceID       string            `json:"traceId"`
-	SpanID        string            `json:"spanId"`
-	Parent        string            `json:"parent,omitempty"`
-	Name          string            `json:"name"`
-	Service       string            `json:"service,omitempty"`
-	StartUnixNs   int64             `json:"startUnixNs"`
-	DurationNs    int64             `json:"durationNs"`
-	Attrs         map[string]string `json:"attrs,omitempty"`
-	Events        []TraceEvent      `json:"events,omitempty"`
-	DroppedEvents int64             `json:"droppedEvents,omitempty"`
-}
+// TraceSpan is one finished span of a recorded trace on the wire: the
+// tracer's own export form, so the inline attachment, each NDJSON line of
+// GET /v1/trace/{id} and the daemon's trace ring share one schema.
+type TraceSpan = obs.SpanData
 
 // TraceEvent is one point event on a span's timeline.
-type TraceEvent struct {
-	Name     string            `json:"name"`
-	OffsetNs int64             `json:"offsetNs"`
-	Attrs    map[string]string `json:"attrs,omitempty"`
-}
+type TraceEvent = obs.EventData
 
 // Item is the outcome of one submitted graph.
 type Item struct {

@@ -63,10 +63,11 @@ type Options struct {
 }
 
 // ResultCache is a second-level result cache under the memo, keyed exactly
-// like the memo itself: the ir structural fingerprint, the register type,
-// and the canonicalized options key. Implementations must be safe for
-// concurrent use and are expected to be best-effort — a failed Get is a
-// miss, a failed Put is dropped.
+// like the memo itself: the structural fingerprint (ir's for graphs, the
+// loop's domain-tagged one for loop kernels — the domains are disjoint),
+// the register type, and the canonicalized options key. Implementations
+// must be safe for concurrent use and are expected to be best-effort — a
+// failed Get is a miss, a failed Put is dropped.
 type ResultCache interface {
 	// Get returns the cached result for (fp, t, optsKey), materialized
 	// against g: node IDs are valid for every graph sharing the
@@ -74,14 +75,6 @@ type ResultCache interface {
 	Get(fp string, g *ddg.Graph, t ddg.RegType, optsKey string) (*rs.Result, bool)
 	// Put stores res under (fp, t, optsKey).
 	Put(fp string, t ddg.RegType, optsKey string, res *rs.Result)
-}
-
-// CyclicCache is the optional loop-kernel extension of ResultCache: an L2
-// cache that also implements it serves and stores periodic analysis results,
-// keyed by the loop fingerprint (its domain is disjoint from acyclic ir
-// fingerprints), the register type, and the canonicalized cyclic options key.
-// L2 caches that do not implement it simply never see loop items.
-type CyclicCache interface {
 	// GetCyclic returns the cached periodic result for (fp, t, optsKey).
 	GetCyclic(fp string, t ddg.RegType, optsKey string) (*cyclic.Result, bool)
 	// PutCyclic stores res under (fp, t, optsKey).

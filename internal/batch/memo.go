@@ -64,10 +64,12 @@ type entry struct {
 
 	mu       sync.Mutex
 	analyses map[ddg.RegType]*analysisSlot
-	results  map[string]*resultSlot
-	reduces  map[string]*reduceSlot
-	cyclics  map[string]*cyclicSlot
+	// slots holds one *slot[T] per finished result, keyed by its kind and
+	// its (type, options) key.
+	slots map[slotKey]any
 }
+
+type slotKey struct{ kind, key string }
 
 type analysisSlot struct {
 	once sync.Once
@@ -75,35 +77,36 @@ type analysisSlot struct {
 	err  error
 }
 
-// resultSlot is a singleflight cell that does NOT memoize context
-// cancellation: an exact solve interrupted by a cancelled batch must not
-// poison the slot for later runs of a shared engine. The mutex is held for
-// the whole computation, so concurrent workers on the same fingerprint block
-// on the first computation instead of duplicating it (and a waiter whose own
-// context is already cancelled recomputes, fails fast in the solver, and
-// returns its context error without writing the slot).
-type resultSlot struct {
+// slot is a singleflight cell for one finished result that does NOT
+// memoize context cancellation: an exact solve interrupted by a cancelled
+// batch must not poison the slot for later runs of a shared engine. The
+// mutex is held for the whole computation, so concurrent workers on the same
+// fingerprint block on the first computation instead of duplicating it (and
+// a waiter whose own context is already cancelled recomputes, fails fast in
+// the solver, and returns its context error without writing the slot).
+type slot[T any] struct {
 	mu   sync.Mutex
 	done bool
-	res  *rs.Result
+	val  T
 	err  error
 }
 
-// get returns the memoized result, computing it under the slot lock on first
+// get returns the memoized value, computing it under the slot lock on first
 // use. The second return reports whether this call ran the computation.
-func (s *resultSlot) get(compute func() (*rs.Result, error)) (*rs.Result, bool, error) {
+func (s *slot[T]) get(compute func() (T, error)) (T, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.done {
-		return s.res, false, s.err
+		return s.val, false, s.err
 	}
-	res, err := compute()
+	val, err := compute()
 	if isCtxErr(err) {
-		return nil, true, err
+		var zero T
+		return zero, true, err
 	}
 	s.done = true
-	s.res, s.err = res, err
-	return res, true, err
+	s.val, s.err = val, err
+	return val, true, err
 }
 
 func isCtxErr(err error) bool {
@@ -111,15 +114,17 @@ func isCtxErr(err error) bool {
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-type reduceSlot struct {
-	mu   sync.Mutex
-	done bool
-	// src is the graph the memoized result was computed against; serving the
-	// result to a structurally identical but distinct graph re-extends that
-	// graph instead, so callers never see another input's names.
-	src *ddg.Graph
-	res *reduce.Result
-	err error
+// slotOf returns e's slot for (kind, key), creating it on first use.
+func slotOf[T any](e *entry, kind, key string) *slot[T] {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	k := slotKey{kind, key}
+	s, ok := e.slots[k].(*slot[T])
+	if !ok {
+		s = &slot[T]{}
+		e.slots[k] = s
+	}
+	return s
 }
 
 // lookup returns the entry for fp, creating and inserting it (with LRU
@@ -134,9 +139,7 @@ func (m *memo) lookup(fp string) *entry {
 	e := &entry{
 		fp:       fp,
 		analyses: make(map[ddg.RegType]*analysisSlot),
-		results:  make(map[string]*resultSlot),
-		reduces:  make(map[string]*reduceSlot),
-		cyclics:  make(map[string]*cyclicSlot),
+		slots:    make(map[slotKey]any),
 	}
 	m.entries[fp] = m.order.PushFront(e)
 	for len(m.entries) > m.cap {
@@ -186,29 +189,23 @@ func (e *entry) analysis(ctx context.Context, g *ddg.Graph, t ddg.RegType) (*rs.
 	return slot.an, slot.err
 }
 
-// result returns the memoized RS result for (t, opts), computing it on first
-// use. The second return reports whether the result was served from cache —
-// the in-memory slot or, when the engine has one, the L2 result cache (an
-// L2 load seeds the slot, so the disk is read at most once per key). The
-// context reaches all the way into an in-flight MILP solve, so batch
-// cancellation interrupts it instead of waiting the solve out; interrupted
-// computations are not memoized.
-func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType, opts rs.Options) (*rs.Result, bool, error) {
-	key := string(t) + "|" + rsOptionsKey(opts)
-	e.mu.Lock()
-	slot, ok := e.results[key]
-	if !ok {
-		slot = &resultSlot{}
-		e.results[key] = slot
-	}
-	e.mu.Unlock()
+// cached returns the result of kind for the (type, options) key, computing
+// it on first use: the one memo → L2 → compute path behind every result
+// kind. The second return reports whether the result was served from cache
+// — the in-memory slot or the L2 result cache (an L2 load seeds the slot,
+// so the disk is read at most once per key). The context reaches all the
+// way into an in-flight MILP solve, so batch cancellation interrupts it
+// instead of waiting the solve out; interrupted computations are not
+// memoized. kind doubles as the computation's span name.
+func cached[T any](ctx context.Context, m *memo, e *entry, kind, key string, t ddg.RegType,
+	l2get func() (T, bool), l2put func(T), compute func(context.Context) (T, error)) (T, bool, error) {
 	fromL2 := false
-	res, ran, err := slot.get(func() (*rs.Result, error) {
-		cctx, sp := obs.StartSpan(ctx, "batch.rs", obs.Str("type", string(t)))
+	res, ran, err := slotOf[T](e, kind, key).get(func() (T, error) {
+		cctx, sp := obs.StartSpan(ctx, kind, obs.Str("type", string(t)))
 		defer sp.End()
 		if m.l2 != nil {
 			_, lsp := obs.StartSpan(cctx, "l2.get")
-			r, ok := m.l2.Get(e.fp, g, t, key)
+			r, ok := l2get()
 			lsp.End()
 			if ok {
 				fromL2 = true
@@ -217,14 +214,10 @@ func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType
 			}
 			sp.Event("l2.miss")
 		}
-		an, aerr := e.analysis(cctx, g, t)
-		if aerr != nil {
-			return nil, aerr
-		}
-		r, cerr := rs.ComputeWithAnalysis(cctx, an, opts)
+		r, cerr := compute(cctx)
 		if cerr == nil && m.l2 != nil {
 			_, psp := obs.StartSpan(cctx, "l2.put")
-			m.l2.Put(e.fp, t, key, r)
+			l2put(r)
 			psp.End()
 		}
 		return r, cerr
@@ -241,79 +234,30 @@ func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType
 	return res, !ran || fromL2, err
 }
 
-// cyclicSlot is the loop-kernel analog of resultSlot: a singleflight cell
-// for one (type, cyclic options) periodic analysis, with the same
-// no-memoization-of-cancellation rule.
-type cyclicSlot struct {
-	mu   sync.Mutex
-	done bool
-	res  *cyclic.Result
-	err  error
+// result returns the memoized RS result for (t, opts); see cached.
+func (e *entry) result(ctx context.Context, m *memo, g *ddg.Graph, t ddg.RegType, opts rs.Options) (*rs.Result, bool, error) {
+	key := string(t) + "|" + rsOptionsKey(opts)
+	return cached(ctx, m, e, "batch.rs", key, t,
+		func() (*rs.Result, bool) { return m.l2.Get(e.fp, g, t, key) },
+		func(r *rs.Result) { m.l2.Put(e.fp, t, key, r) },
+		func(ctx context.Context) (*rs.Result, error) {
+			an, err := e.analysis(ctx, g, t)
+			if err != nil {
+				return nil, err
+			}
+			return rs.ComputeWithAnalysis(ctx, an, opts)
+		})
 }
 
-func (s *cyclicSlot) get(compute func() (*cyclic.Result, error)) (*cyclic.Result, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return s.res, false, s.err
-	}
-	res, err := compute()
-	if isCtxErr(err) {
-		return nil, true, err
-	}
-	s.done = true
-	s.res, s.err = res, err
-	return res, true, err
-}
-
-// cyclicResult returns the memoized periodic analysis for (t, opts),
-// computing it on first use. Cyclic results carry no witness schedules (the
-// window engine forces SkipWitness), so — unlike acyclic RS results — an L2
-// hit needs no per-graph materialization and the L2 hook is the narrower
-// CyclicCache interface, type-asserted from the engine's ResultCache.
+// cyclicResult returns the memoized periodic analysis for (t, opts); see
+// cached. Cyclic results carry no witness schedules (the window engine
+// forces SkipWitness), so an L2 hit needs no per-graph materialization.
 func (e *entry) cyclicResult(ctx context.Context, m *memo, l *cyclic.Loop, t ddg.RegType, opts cyclic.Options) (*cyclic.Result, bool, error) {
 	key := string(t) + "|" + opts.Key()
-	e.mu.Lock()
-	slot, ok := e.cyclics[key]
-	if !ok {
-		slot = &cyclicSlot{}
-		e.cyclics[key] = slot
-	}
-	e.mu.Unlock()
-	l2, _ := m.l2.(CyclicCache)
-	fromL2 := false
-	res, ran, err := slot.get(func() (*cyclic.Result, error) {
-		cctx, sp := obs.StartSpan(ctx, "batch.cyclic", obs.Str("type", string(t)))
-		defer sp.End()
-		if l2 != nil {
-			_, lsp := obs.StartSpan(cctx, "l2.get")
-			r, ok := l2.GetCyclic(e.fp, t, key)
-			lsp.End()
-			if ok {
-				fromL2 = true
-				sp.Event("l2.hit")
-				return r, nil
-			}
-			sp.Event("l2.miss")
-		}
-		r, cerr := cyclic.Analyze(cctx, l, t, opts)
-		if cerr == nil && l2 != nil {
-			_, psp := obs.StartSpan(cctx, "l2.put")
-			l2.PutCyclic(e.fp, t, key, r)
-			psp.End()
-		}
-		return r, cerr
-	})
-	switch {
-	case !ran:
-		m.hits.Add(1)
-		obs.FromContext(ctx).Event("memo.hit", obs.Str("type", string(t)))
-	case fromL2:
-		m.l2hits.Add(1)
-	default:
-		m.misses.Add(1)
-	}
-	return res, !ran || fromL2, err
+	return cached(ctx, m, e, "batch.cyclic", key, t,
+		func() (*cyclic.Result, bool) { return m.l2.GetCyclic(e.fp, t, key) },
+		func(r *cyclic.Result) { m.l2.PutCyclic(e.fp, t, key, r) },
+		func(ctx context.Context) (*cyclic.Result, error) { return cyclic.Analyze(ctx, l, t, opts) })
 }
 
 // reduction returns the memoized reduction result for (t, spec), computing
@@ -335,34 +279,24 @@ func (e *entry) reduction(ctx context.Context, g *ddg.Graph, t ddg.RegType, spec
 		return res, true, err
 	}
 	key := fmt.Sprintf("%s|%s|%d", t, spec.Key, spec.Budget)
-	e.mu.Lock()
-	slot, ok := e.reduces[key]
-	if !ok {
-		slot = &reduceSlot{}
-		e.reduces[key] = slot
+	// src is the graph the memoized result was computed against; a
+	// structurally identical but distinct graph gets the result re-extended
+	// over itself, so callers never see another input's names.
+	type reduced struct {
+		src *ddg.Graph
+		res *reduce.Result
 	}
-	e.mu.Unlock()
-	slot.mu.Lock()
-	ran := false
-	if !slot.done {
-		ran = true
+	r, ran, err := slotOf[reduced](e, "reduce", key).get(func() (reduced, error) {
 		res, err := spec.Run(ctx, g, t, spec.Budget)
-		if isCtxErr(err) {
-			slot.mu.Unlock()
-			return nil, true, err
-		}
-		slot.src, slot.res, slot.err = g, res, err
-		slot.done = true
+		return reduced{g, res}, err
+	})
+	if err != nil || r.src == g {
+		return r.res, ran, err
 	}
-	res, err, src := slot.res, slot.err, slot.src
-	slot.mu.Unlock()
-	if err != nil || src == g {
-		return res, ran, err
-	}
-	adapted := *res
-	adapted.Graph = g.Extend(res.Arcs)
-	if res.Schedule != nil {
-		adapted.Schedule = schedule.New(adapted.Graph, res.Schedule.Times)
+	adapted := *r.res
+	adapted.Graph = g.Extend(r.res.Arcs)
+	if r.res.Schedule != nil {
+		adapted.Schedule = schedule.New(adapted.Graph, r.res.Schedule.Times)
 	}
 	return &adapted, ran, nil
 }

@@ -71,8 +71,13 @@ func (o Options) Key() string {
 }
 
 // Result is the periodic register saturation of one register type.
+//
+// The JSON form is the on-disk record of the daemon's result store
+// (internal/service/store): renaming or removing a key here, on Periodic or
+// on solver.Stats requires a store.SchemaVersion bump. Type travels in the
+// store's envelope, so it has no key of its own.
 type Result struct {
-	Type ddg.RegType `json:"type"`
+	Type ddg.RegType `json:"-"`
 	// Windows[i] is RS of the (i+1)-iteration unrolled window. The sequence
 	// is non-decreasing (monotonicity) and subadditive, so Windows[k]/k
 	// converges to the true per-iteration saturation (Fekete).

@@ -37,18 +37,6 @@ func (o *Order) Less(a, b int) bool { return a != b && o.less[a].Get(b) }
 // Comparable reports whether a < b or b < a.
 func (o *Order) Comparable(a, b int) bool { return o.Less(a, b) || o.Less(b, a) }
 
-// Pairs returns the number of ordered pairs (a,b) with a < b.
-func (o *Order) Pairs() int {
-	total := 0
-	for a := 0; a < o.n; a++ {
-		total += o.less[a].Count()
-		if o.less[a].Get(a) {
-			total-- // defensive: never count a reflexive bit
-		}
-	}
-	return total
-}
-
 // TransitiveClose closes the relation under transitivity using bit-parallel
 // propagation. It runs a fixpoint that is O(n²·n/64) worst case but converges
 // in one pass when SetLess calls already follow a topological order.

@@ -267,12 +267,3 @@ func TestMaximumAntichainMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestOrderPairs(t *testing.T) {
-	o := NewOrder(3)
-	o.SetLess(0, 1)
-	o.SetLess(0, 2)
-	if o.Pairs() != 2 {
-		t.Fatalf("Pairs=%d, want 2", o.Pairs())
-	}
-}

@@ -80,17 +80,6 @@ func (c *Closure) Reaches(u, v int) bool {
 	return c.Reach[u].Get(v)
 }
 
-// Descendants returns the strict descendants of u in increasing order.
-func (c *Closure) Descendants(u int) []int {
-	var out []int
-	for v := 0; v < c.n; v++ {
-		if v != u && c.Reach[u].Get(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Comparable reports whether u and v are ordered either way (u⇝v or v⇝u).
 func (c *Closure) Comparable(u, v int) bool {
 	return c.Reaches(u, v) || c.Reaches(v, u)

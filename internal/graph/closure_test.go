@@ -41,8 +41,8 @@ func TestTransitiveClosureChain(t *testing.T) {
 	if !c.Reaches(0, 3) || !c.Reaches(1, 3) || c.Reaches(3, 0) || c.Reaches(2, 2) {
 		t.Fatal("closure relation wrong")
 	}
-	if d := c.Descendants(1); len(d) != 2 || d[0] != 2 || d[1] != 3 {
-		t.Fatalf("Descendants(1)=%v, want [2 3]", d)
+	if c.Reaches(1, 0) || !c.Reaches(1, 2) || !c.Reaches(1, 3) {
+		t.Fatal("descendants of 1 wrong")
 	}
 	if !c.Comparable(0, 3) || c.Comparable(0, 0) {
 		t.Fatal("Comparable wrong")
@@ -61,8 +61,8 @@ func TestTransitiveClosureMatchesAllPairs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for u := 0; u < g.N(); u++ {
-			for v := 0; v < g.N(); v++ {
+		for u := range ap.D {
+			for v := range ap.D {
 				if u == v {
 					continue
 				}
@@ -129,8 +129,8 @@ func TestTransitiveReductionPreservesLongestPaths(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for u := 0; u < g.N(); u++ {
-			for v := 0; v < g.N(); v++ {
+		for u := range before.D {
+			for v := range before.D {
 				if before.Path(u, v) != after.Path(u, v) {
 					return false
 				}

@@ -9,10 +9,7 @@
 // arcs may carry non-positive latencies (see the paper, Section 4).
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Edge is a weighted directed edge between dense node indices.
 type Edge struct {
@@ -47,12 +44,6 @@ func (g *Digraph) Clone() *Digraph {
 	return c
 }
 
-// N returns the number of nodes.
-func (g *Digraph) N() int { return g.n }
-
-// M returns the number of edges.
-func (g *Digraph) M() int { return len(g.edges) }
-
 // AddNode appends a new node and returns its index.
 func (g *Digraph) AddNode() int {
 	g.n++
@@ -82,38 +73,6 @@ func (g *Digraph) Edges() []Edge { return g.edges }
 // Edge returns the i-th edge.
 func (g *Digraph) Edge(i int) Edge { return g.edges[i] }
 
-// HasEdge reports whether at least one edge u→v exists.
-func (g *Digraph) HasEdge(u, v int) bool {
-	g.build()
-	for _, ei := range g.succ[u] {
-		if g.edges[ei].To == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Succ returns the successor node indices of u (with multiplicity for
-// parallel edges). The slice is freshly allocated.
-func (g *Digraph) Succ(u int) []int {
-	g.build()
-	out := make([]int, 0, len(g.succ[u]))
-	for _, ei := range g.succ[u] {
-		out = append(out, g.edges[ei].To)
-	}
-	return out
-}
-
-// Pred returns the predecessor node indices of v (with multiplicity).
-func (g *Digraph) Pred(v int) []int {
-	g.build()
-	out := make([]int, 0, len(g.pred[v]))
-	for _, ei := range g.pred[v] {
-		out = append(out, g.edges[ei].From)
-	}
-	return out
-}
-
 // OutEdges returns the indices of edges leaving u. The slice is owned by the
 // graph and must not be modified.
 func (g *Digraph) OutEdges(u int) []int {
@@ -126,18 +85,6 @@ func (g *Digraph) OutEdges(u int) []int {
 func (g *Digraph) InEdges(v int) []int {
 	g.build()
 	return g.pred[v]
-}
-
-// OutDegree returns the number of edges leaving u.
-func (g *Digraph) OutDegree(u int) int {
-	g.build()
-	return len(g.succ[u])
-}
-
-// InDegree returns the number of edges entering v.
-func (g *Digraph) InDegree(v int) int {
-	g.build()
-	return len(g.pred[v])
 }
 
 // RemoveEdges deletes the edges whose indices are listed in idx and
@@ -180,20 +127,4 @@ func (g *Digraph) build() {
 		g.pred[e.To] = append(g.pred[e.To], i)
 	}
 	g.dirty = false
-}
-
-// SortedEdges returns a copy of the edge list sorted by (From, To, Weight),
-// useful for deterministic output in tests and tools.
-func (g *Digraph) SortedEdges() []Edge {
-	out := append([]Edge(nil), g.edges...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		if out[i].To != out[j].To {
-			return out[i].To < out[j].To
-		}
-		return out[i].Weight < out[j].Weight
-	})
-	return out
 }

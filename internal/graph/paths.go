@@ -42,34 +42,6 @@ func (g *Digraph) longestFromInOrder(src int, order []int) []int64 {
 	return dist
 }
 
-// LongestTo computes the longest-path distance from every node to dst in a
-// DAG. Unreachable nodes get NoPath.
-func (g *Digraph) LongestTo(dst int) ([]int64, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	g.build()
-	dist := make([]int64, g.n)
-	for i := range dist {
-		dist[i] = NoPath
-	}
-	dist[dst] = 0
-	for i := len(order) - 1; i >= 0; i-- {
-		u := order[i]
-		for _, ei := range g.succ[u] {
-			e := g.edges[ei]
-			if dist[e.To] == NoPath {
-				continue
-			}
-			if d := dist[e.To] + e.Weight; d > dist[u] {
-				dist[u] = d
-			}
-		}
-	}
-	return dist, nil
-}
-
 // AllPairsLongest holds the all-pairs longest-path matrix of a DAG.
 // D[u][v] is the longest path weight from u to v, or NoPath if v is not
 // reachable from u. D[u][u] is 0 for every u.

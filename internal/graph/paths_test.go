@@ -42,20 +42,6 @@ func TestLongestFromUnreachable(t *testing.T) {
 	}
 }
 
-func TestLongestTo(t *testing.T) {
-	g := diamond()
-	d, err := g.LongestTo(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{4, 2, 1, 0}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("dist=%v, want %v", d, want)
-		}
-	}
-}
-
 func TestLongestNegativeWeights(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, -2)
@@ -162,8 +148,8 @@ func TestLongestMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for u := 0; u < g.N(); u++ {
-			for v := 0; v < g.N(); v++ {
+		for u := range ap.D {
+			for v := range ap.D {
 				if u == v {
 					continue
 				}

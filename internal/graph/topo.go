@@ -136,27 +136,3 @@ func (g *Digraph) findCycle() []int {
 	}
 	return nil
 }
-
-// Sources returns the nodes with no incoming edges, in increasing order.
-func (g *Digraph) Sources() []int {
-	g.build()
-	var out []int
-	for u := 0; u < g.n; u++ {
-		if len(g.pred[u]) == 0 {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// Sinks returns the nodes with no outgoing edges, in increasing order.
-func (g *Digraph) Sinks() []int {
-	g.build()
-	var out []int
-	for u := 0; u < g.n; u++ {
-		if len(g.succ[u]) == 0 {
-			out = append(out, u)
-		}
-	}
-	return out
-}

@@ -164,7 +164,7 @@ func TestSnapshotMatchesDigraph(t *testing.T) {
 		}
 		// Digraph round-trip preserves edge indices.
 		rt := snap.Digraph()
-		if rt.M() != g.NumEdges() {
+		if len(rt.Edges()) != g.NumEdges() {
 			t.Fatalf("%s: Digraph round-trip lost edges", g.Name)
 		}
 		for i, e := range g.Edges() {

@@ -5,20 +5,21 @@ import (
 	"sort"
 )
 
-// ExactStats reports the work done by the combinatorial exact search.
+// ExactStats reports the work done by the combinatorial exact search. Its
+// JSON keys are part of the result store's record schema (see Result).
 type ExactStats struct {
 	// Leaves is the number of complete killing functions evaluated.
-	Leaves int64
+	Leaves int64 `json:"leaves"`
 	// Pruned is the number of subtrees cut by the antichain upper bound.
-	Pruned int64
+	Pruned int64 `json:"pruned"`
 	// Capped is true when the leaf budget was exhausted with the search still
 	// incomplete; the result is then only a lower bound.
-	Capped bool
+	Capped bool `json:"capped"`
 	// UpperBound is the proven upper bound on the saturation: when Capped the
 	// true RS lies in the interval [result.RS, UpperBound] — the combinatorial
 	// analogue of solver.Solution.Bound/Gap reporting. Equal to the result
 	// when the search completed.
-	UpperBound int
+	UpperBound int `json:"upperBound"`
 }
 
 // ExactBB computes the exact register saturation by branch-and-bound over

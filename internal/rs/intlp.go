@@ -16,16 +16,19 @@ import (
 
 // ILPInfo reports the size of the constructed intLP system — the paper's
 // headline complexity claim is O(n²) integer variables and O(m + n²) linear
-// constraints (Section 3).
+// constraints (Section 3). Its JSON keys are part of the result store's
+// record schema (see Result).
 type ILPInfo struct {
-	Vars, IntVars, Constrs int
+	Vars    int `json:"vars"`
+	IntVars int `json:"intVars"`
+	Constrs int `json:"constrs"`
 	// RedundantArcs is the number of scheduling constraints dropped by the
 	// first model optimization of Section 3.
-	RedundantArcs int
+	RedundantArcs int `json:"redundantArcs"`
 	// NeverAlivePairs is the number of interference variables dropped by
 	// the second model optimization (values that can never be
 	// simultaneously alive).
-	NeverAlivePairs int
+	NeverAlivePairs int `json:"neverAlivePairs"`
 }
 
 // CoreVars are the variables shared by the Section 3 (saturation) and

@@ -51,34 +51,40 @@ type Options struct {
 }
 
 // Result is the register saturation of one register type.
+//
+// The JSON form is the on-disk record of the daemon's result store
+// (internal/service/store): renaming or removing a key here, on ILPInfo, on
+// ExactStats or on solver.Stats requires a store.SchemaVersion bump. Type
+// travels in the store's envelope; Witness is stored as per-node times and
+// Killing not at all.
 type Result struct {
-	Type ddg.RegType
+	Type ddg.RegType `json:"-"`
 	// RS is the computed saturation: exact when Exact, otherwise a valid
 	// achievable lower bound RS* ≤ RS.
-	RS int
+	RS int `json:"rs"`
 	// Antichain lists the saturating values (node IDs): a set of values
 	// that some schedule keeps simultaneously alive.
-	Antichain []int
+	Antichain []int `json:"antichain,omitempty"`
 	// Exact reports whether RS is proven maximal.
-	Exact bool
+	Exact bool `json:"exact"`
 	// Witness is a valid schedule of G realizing RS simultaneously-alive
 	// values (nil if SkipWitness).
-	Witness *schedule.Schedule
+	Witness *schedule.Schedule `json:"-"`
 	// Killing is the killing function behind the result (nil for intLP).
-	Killing *Killing
+	Killing *Killing `json:"-"`
 	// ILP carries intLP model info when MethodExactILP ran.
-	ILP *ILPInfo
+	ILP *ILPInfo `json:"ilp,omitempty"`
 	// ILPUpperBound is the solver's proven upper bound when MethodExactILP
 	// was capped: the true RS lies in [RS, ILPUpperBound]. Equal to RS when
 	// Exact.
-	ILPUpperBound int
+	ILPUpperBound int `json:"ilpUpperBound,omitempty"`
 	// SolverStats is the MILP backend's work accounting (intLP method only).
-	SolverStats *solver.Stats
+	SolverStats *solver.Stats `json:"solverStats,omitempty"`
 	// BBStats is the combinatorial search's work accounting (MethodExactBB
 	// only). On a capped search the true RS lies in
 	// [RS, BBStats.UpperBound] — the same interval reporting SolverStats
 	// gives for capped MILP solves.
-	BBStats *ExactStats
+	BBStats *ExactStats `json:"bbStats,omitempty"`
 }
 
 // Compute computes the register saturation RS_t(G) using the selected

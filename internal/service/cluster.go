@@ -299,7 +299,7 @@ func (s *Server) clusterAnalyze(ctx context.Context, engine *batch.Engine, befor
 				return
 			}
 			fsp.End()
-			s.tracer.AddSpans(wireToSpans(resp.Spans))
+			s.tracer.AddSpans(resp.Spans)
 			for _, item := range resp.Items {
 				if item.Index < 0 || item.Index >= len(p.indices) {
 					continue // a malformed peer answer must not corrupt other positions

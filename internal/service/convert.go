@@ -212,7 +212,7 @@ func (s *Server) itemToWire(res batch.Result, withWitness, wantDDG bool) client.
 		if len(res.Cyclic) > 0 {
 			item.Cyclic = make(map[string]*client.CyclicOutcome, len(res.Cyclic))
 			for t, r := range res.Cyclic {
-				item.Cyclic[string(t)] = cyclicToWire(r)
+				item.Cyclic[string(t)] = s.cyclicToWire(r, res.ComputedCyclic[t])
 			}
 		}
 		return item
@@ -236,8 +236,9 @@ func (s *Server) itemToWire(res batch.Result, withWitness, wantDDG bool) client.
 	return item
 }
 
-// cyclicToWire converts one periodic loop result.
-func cyclicToWire(r *cyclic.Result) *client.CyclicOutcome {
+// cyclicToWire converts one periodic loop result; computed reports whether
+// this request ran the certificate's solve, as for rsToWire.
+func (s *Server) cyclicToWire(r *cyclic.Result, computed bool) *client.CyclicOutcome {
 	out := &client.CyclicOutcome{
 		Windows:   r.Windows,
 		PerIter:   r.PerIter,
@@ -253,6 +254,9 @@ func cyclicToWire(r *cyclic.Result) *client.CyclicOutcome {
 			Exact:      p.Exact,
 			UpperBound: p.UpperBound,
 			Jmax:       p.Jmax,
+		}
+		if computed {
+			s.recordSolve(p.Stats)
 		}
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -222,6 +223,63 @@ func TestServiceInlineLoopKernel(t *testing.T) {
 	if got := resp.Items[1]; got.Error == "" || !strings.Contains(got.Error, "zero-distance") {
 		t.Fatalf("zero-distance cycle accepted: %+v", got)
 	}
+}
+
+// TestServiceLoopSolvesReachMetrics: a periodic certificate's MILP solve
+// is counted in the solver aggregate once, when it runs — a repeat of the
+// request is a memo hit and counts nothing.
+func TestServiceLoopSolvesReachMetrics(t *testing.T) {
+	_, c, done := newTestServer(t, Config{})
+	defer done()
+	req := &client.AnalyzeRequest{
+		Graphs: []client.GraphInput{{Name: "l0", DDG: "ddg \"rec\" loop\n" +
+			"node a op=mul lat=2 writes=float\nnode b op=add lat=1 writes=float\n" +
+			"edge a b flow float\nedge b a flow float dist=1\n"}},
+		Options: client.AnalyzeOptions{Method: "bb", Cyclic: &client.CyclicSpec{Certify: true}},
+	}
+	solves := func() (n, nodes int64) {
+		t.Helper()
+		metrics, err := c.Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return metricValue(t, metrics, "regsat_solver_solves_total"),
+			metricValue(t, metrics, "regsat_solver_nodes_total")
+	}
+	before, _ := solves()
+	for i, want := range []int64{1, 0} {
+		resp, err := c.Analyze(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := resp.Items[0].Cyclic["float"].Periodic; p == nil {
+			t.Fatalf("request %d: no periodic certificate", i)
+		}
+		after, nodes := solves()
+		if after-before != want {
+			t.Fatalf("request %d moved regsat_solver_solves_total by %d, want %d", i, after-before, want)
+		}
+		if nodes == 0 {
+			t.Fatalf("request %d: certificate solve's nodes not aggregated", i)
+		}
+		before = after
+	}
+}
+
+// metricValue returns the value of an unlabeled metric in a /metrics body.
+func metricValue(t *testing.T, metrics, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(metrics, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metrics missing %s:\n%s", name, metrics)
+	return 0
 }
 
 func TestServiceReduce(t *testing.T) {

@@ -12,7 +12,8 @@
 //
 // where <key> is the hex SHA-256 of "fingerprint\x00type\x00optionsKey" and
 // "ab" its first byte — a fan-out that keeps directories small on large
-// corpora. Records are JSON (see Record) with an embedded schema number.
+// corpora. Each record is an engine result's own JSON (rs.Result,
+// cyclic.Result) inside an envelope carrying the schema number and the key.
 //
 // The store is crash-safe and corruption-tolerant by construction:
 //
@@ -37,12 +38,13 @@ import (
 	"time"
 
 	"regsat/internal/ddg"
-	"regsat/internal/rs"
 )
 
 // SchemaVersion is the record schema this build reads and writes. Bump it
-// whenever Record changes incompatibly: old stores are then ignored (not
-// deleted) and a fresh objects tree is started.
+// whenever a record changes incompatibly — the envelope, or a JSON key of
+// rs.Result, rs.ILPInfo, rs.ExactStats, solver.Stats or cyclic.Result
+// renamed or removed: old stores are then ignored (not deleted) and a fresh
+// objects tree is started.
 const SchemaVersion = 1
 
 // Store is a persistent result cache rooted at a directory. All methods are
@@ -93,49 +95,55 @@ func (s *Store) path(fp string, t ddg.RegType, optsKey string) string {
 	return filepath.Join(s.objects, name[:2], name+".json")
 }
 
-// Get implements batch.ResultCache: it returns the stored result for
-// (fp, t, optsKey) materialized against g, or a miss. Every failure mode —
-// missing file, torn or corrupt JSON, schema or key mismatch, a witness
-// that does not fit g — is a miss.
-func (s *Store) Get(fp string, g *ddg.Graph, t ddg.RegType, optsKey string) (*rs.Result, bool) {
+// read decodes the record stored under (fp, t, optsKey) into rec and
+// counts the outcome: a missing file is a plain miss; an unreadable file, a
+// decode failure, an envelope that does not match the key or kind, or a
+// payload that fails rec.check is a miss counted in Stats.Errors too.
+func (s *Store) read(fp string, g *ddg.Graph, t ddg.RegType, optsKey, kind string, rec record) bool {
 	raw, err := os.ReadFile(s.path(fp, t, optsKey))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			s.errors.Add(1)
 		}
 		s.misses.Add(1)
-		return nil, false
+		return false
 	}
-	var rec Record
-	if err := json.Unmarshal(raw, &rec); err != nil ||
-		rec.Schema != SchemaVersion || rec.Kind != "" ||
-		rec.Fingerprint != fp || rec.Type != string(t) || rec.OptionsKey != optsKey {
+	want := envelope{Schema: SchemaVersion, Fingerprint: fp, Type: string(t), OptionsKey: optsKey, Kind: kind}
+	if err := json.Unmarshal(raw, rec); err != nil ||
+		!rec.head().matches(want) || rec.check(g) != nil {
 		s.errors.Add(1)
 		s.misses.Add(1)
-		return nil, false
-	}
-	res, err := rec.result(g, t)
-	if err != nil {
-		s.errors.Add(1)
-		s.misses.Add(1)
-		return nil, false
+		return false
 	}
 	s.hits.Add(1)
-	return res, true
+	return true
 }
 
-// Put implements batch.ResultCache: it persists res under (fp, t, optsKey)
-// with an atomic write. Failures are counted and dropped — a full disk must
-// not fail an analysis that already succeeded.
-func (s *Store) Put(fp string, t ddg.RegType, optsKey string, res *rs.Result) {
-	rec := newRecord(fp, t, optsKey, res)
+// matches reports whether e keys the same record as want (the write time
+// is never compared).
+func (e *envelope) matches(want envelope) bool {
+	want.SavedAtUnixNs = e.SavedAtUnixNs
+	return *e == want
+}
+
+// write stamps rec's envelope and persists it under (fp, t, optsKey) with
+// an atomic write. Failures are counted and dropped — a full disk must not
+// fail an analysis that already succeeded.
+func (s *Store) write(fp string, t ddg.RegType, optsKey, kind string, rec record) {
+	*rec.head() = envelope{
+		Schema:        SchemaVersion,
+		Fingerprint:   fp,
+		Type:          string(t),
+		OptionsKey:    optsKey,
+		Kind:          kind,
+		SavedAtUnixNs: now().UnixNano(),
+	}
 	raw, err := json.Marshal(rec)
 	if err != nil {
 		s.errors.Add(1)
 		return
 	}
-	path := s.path(fp, t, optsKey)
-	if err := writeAtomic(path, raw); err != nil {
+	if err := writeAtomic(s.path(fp, t, optsKey), raw); err != nil {
 		s.errors.Add(1)
 		return
 	}

@@ -2,16 +2,19 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"regsat/internal/cyclic"
 	"regsat/internal/ddg"
 	"regsat/internal/ir"
 	"regsat/internal/kernels"
 	"regsat/internal/rs"
+	"regsat/internal/solver"
 )
 
 func testGraph(t *testing.T) (*ddg.Graph, ddg.RegType, string) {
@@ -36,58 +39,140 @@ func computeResult(t *testing.T, g *ddg.Graph, rt ddg.RegType, opts rs.Options) 
 	return res
 }
 
+// TestStoreRoundTrip: every field of a result except the in-memory
+// killing function survives Put/Get, for each method's result shape — the
+// greedy witness, a capped search's BBStats, and a node-capped intLP's
+// model info, upper bound and solver stats.
 func TestStoreRoundTrip(t *testing.T) {
 	g, rt, fp := testGraph(t)
-	res := computeResult(t, g, rt, rs.Options{Method: rs.MethodExactBB})
+	for _, c := range []struct {
+		name string
+		opts rs.Options
+	}{
+		{"greedy", rs.Options{Method: rs.MethodGreedy}},
+		{"bb-capped", rs.Options{Method: rs.MethodExactBB, MaxLeaves: 1}},
+		{"ilp-capped", rs.Options{Method: rs.MethodExactILP, ApplyReductions: true,
+			Solver: solver.Options{MaxNodes: 1}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := computeResult(t, g, rt, c.opts)
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s.Get(fp, g, rt, "k"); ok {
+				t.Fatal("Get on empty store hit")
+			}
+			s.Put(fp, rt, "k", res)
+			got, ok := s.Get(fp, g, rt, "k")
+			if !ok {
+				t.Fatal("Get after Put missed")
+			}
+			want := *res
+			want.Killing = nil
+			if !reflect.DeepEqual(*got, want) {
+				t.Fatalf("round trip changed result:\n got  %+v\n want %+v", *got, want)
+			}
+			if got.Witness != nil {
+				if err := got.Witness.Validate(); err != nil {
+					t.Fatalf("rebuilt witness invalid: %v", err)
+				}
+			}
+			// The second open of the same directory (a "restart") must
+			// serve the same record.
+			s2, err := Open(s.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s2.Get(fp, g, rt, "k"); !ok {
+				t.Fatal("record did not survive reopen")
+			}
+			// Keys are (fingerprint, type, options): any component change
+			// misses.
+			if _, ok := s2.Get(fp, g, rt, "other-options"); ok {
+				t.Fatal("options key ignored")
+			}
+			if _, ok := s2.Get("other-fp", g, rt, "k"); ok {
+				t.Fatal("fingerprint ignored")
+			}
+		})
+	}
+}
 
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get(fp, g, rt, "k"); ok {
-		t.Fatal("Get on empty store hit")
-	}
-	s.Put(fp, rt, "k", res)
-	got, ok := s.Get(fp, g, rt, "k")
-	if !ok {
-		t.Fatal("Get after Put missed")
-	}
-	if got.RS != res.RS || got.Exact != res.Exact {
-		t.Fatalf("round trip changed result: got RS=%d exact=%v, want RS=%d exact=%v",
-			got.RS, got.Exact, res.RS, res.Exact)
-	}
-	if !reflect.DeepEqual(got.Antichain, res.Antichain) {
-		t.Fatalf("antichain changed: %v vs %v", got.Antichain, res.Antichain)
-	}
-	if res.Witness != nil {
-		if got.Witness == nil {
-			t.Fatal("witness lost in round trip")
-		}
-		if err := got.Witness.Validate(); err != nil {
-			t.Fatalf("rebuilt witness invalid: %v", err)
-		}
-		if !reflect.DeepEqual(got.Witness.Times, res.Witness.Times) {
-			t.Fatal("witness times changed")
-		}
-	}
-	if res.BBStats != nil && (got.BBStats == nil || *got.BBStats != *res.BBStats) {
-		t.Fatalf("bb stats changed: %+v vs %+v", got.BBStats, res.BBStats)
-	}
-	// The second open of the same directory (a "restart") must serve the
-	// same record.
-	s2, err := Open(s.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s2.Get(fp, g, rt, "k"); !ok {
-		t.Fatal("record did not survive reopen")
-	}
-	// Keys are (fingerprint, type, options): any component change misses.
-	if _, ok := s2.Get(fp, g, rt, "other-options"); ok {
-		t.Fatal("options key ignored")
-	}
-	if _, ok := s2.Get("other-fp", g, rt, "k"); ok {
-		t.Fatal("fingerprint ignored")
+// TestStoreReadsParentRecords: records written before the store persisted
+// the engine's own result types (testdata/parent-*.json) still serve, and
+// re-writing what they decode to yields the same JSON object.
+func TestStoreReadsParentRecords(t *testing.T) {
+	for _, c := range []struct {
+		file   string
+		kernel string // "" for the loop record
+	}{
+		{"parent-greedy.json", "lin-daxpy"},
+		{"parent-bb-capped.json", "spec-tomcatv"},
+		{"parent-ilp-capped.json", "spec-tomcatv"},
+		{"parent-loop-certified.json", ""},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env envelope
+			if err := json.Unmarshal(raw, &env); err != nil {
+				t.Fatal(err)
+			}
+			if env.Schema != SchemaVersion {
+				t.Fatalf("fixture schema %d, build reads %d", env.Schema, SchemaVersion)
+			}
+			rt := ddg.RegType(env.Type)
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := s.path(env.Fingerprint, rt, env.OptionsKey)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			defer func(saved func() time.Time) { now = saved }(now)
+			now = func() time.Time { return time.Unix(0, env.SavedAtUnixNs) }
+			if c.kernel == "" {
+				res, ok := s.GetCyclic(env.Fingerprint, rt, env.OptionsKey)
+				if !ok {
+					t.Fatal("parent loop record does not serve")
+				}
+				s.PutCyclic(env.Fingerprint, rt, env.OptionsKey, res)
+			} else {
+				g := kernels.ByNameMust(c.kernel).Build(ddg.Superscalar)
+				if err := g.Finalize(); err != nil {
+					t.Fatal(err)
+				}
+				if ir.Fingerprint(g) != env.Fingerprint {
+					t.Fatalf("fixture is not a record of %s", c.kernel)
+				}
+				res, ok := s.Get(env.Fingerprint, g, rt, env.OptionsKey)
+				if !ok {
+					t.Fatal("parent record does not serve")
+				}
+				s.Put(env.Fingerprint, rt, env.OptionsKey, res)
+			}
+			rewritten, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after map[string]any
+			if err := json.Unmarshal(raw, &before); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(rewritten, &after); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(before, after) {
+				t.Fatalf("re-written record differs:\n parent %s\n now    %s", raw, rewritten)
+			}
+		})
 	}
 }
 
@@ -280,7 +365,7 @@ func TestStoreLen(t *testing.T) {
 }
 
 // TestStoreCyclicRoundTrip: periodic loop results persist and reload through
-// the batch.CyclicCache side of the store, keyed by the loop's
+// the cyclic side of the store, keyed by the loop's
 // distance-sensitive fingerprint.
 func TestStoreCyclicRoundTrip(t *testing.T) {
 	l, err := cyclic.ParseString(`ddg "rt" loop
@@ -317,13 +402,8 @@ edge b a flow float dist=1
 	if !ok {
 		t.Fatal("GetCyclic after PutCyclic missed")
 	}
-	if !reflect.DeepEqual(got.Windows, res.Windows) || got.PerIter != res.PerIter ||
-		got.Converged != res.Converged || got.Slope != res.Slope || got.Exact != res.Exact {
-		t.Fatalf("round trip changed result: %+v vs %+v", got, res)
-	}
-	if got.Periodic == nil || got.Periodic.II != res.Periodic.II || got.Periodic.RS != res.Periodic.RS ||
-		got.Periodic.Exact != res.Periodic.Exact {
-		t.Fatalf("periodic certificate changed: %+v vs %+v", got.Periodic, res.Periodic)
+	if !reflect.DeepEqual(got, res) {
+		t.Fatalf("round trip changed result:\n got  %+v %+v\n want %+v %+v", got, got.Periodic, res, res.Periodic)
 	}
 
 	// Restart survives; key components are respected.

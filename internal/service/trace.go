@@ -72,65 +72,5 @@ func (s *Server) attachTrace(resp *client.AnalyzeResponse, root *obs.Span, wantS
 		return
 	}
 	root.End()
-	resp.Spans = spansToWire(s.tracer.Collect(root.TraceID()))
-}
-
-// spansToWire converts recorded spans to the wire schema (field-identical
-// JSON; the copy keeps regsat/client free of internal types).
-func spansToWire(spans []obs.SpanData) []client.TraceSpan {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make([]client.TraceSpan, len(spans))
-	for i, sp := range spans {
-		ws := client.TraceSpan{
-			TraceID:       sp.TraceID,
-			SpanID:        sp.SpanID,
-			Parent:        sp.Parent,
-			Name:          sp.Name,
-			Service:       sp.Service,
-			StartUnixNs:   sp.StartUnixNs,
-			DurationNs:    sp.DurationNs,
-			Attrs:         sp.Attrs,
-			DroppedEvents: sp.DroppedEvents,
-		}
-		if len(sp.Events) > 0 {
-			ws.Events = make([]client.TraceEvent, len(sp.Events))
-			for j, ev := range sp.Events {
-				ws.Events[j] = client.TraceEvent{Name: ev.Name, OffsetNs: ev.OffsetNs, Attrs: ev.Attrs}
-			}
-		}
-		out[i] = ws
-	}
-	return out
-}
-
-// wireToSpans is the inverse: a forwarded response's inline spans back into
-// ring form for stitching.
-func wireToSpans(spans []client.TraceSpan) []obs.SpanData {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make([]obs.SpanData, len(spans))
-	for i, ws := range spans {
-		sp := obs.SpanData{
-			TraceID:       ws.TraceID,
-			SpanID:        ws.SpanID,
-			Parent:        ws.Parent,
-			Name:          ws.Name,
-			Service:       ws.Service,
-			StartUnixNs:   ws.StartUnixNs,
-			DurationNs:    ws.DurationNs,
-			Attrs:         ws.Attrs,
-			DroppedEvents: ws.DroppedEvents,
-		}
-		if len(ws.Events) > 0 {
-			sp.Events = make([]obs.EventData, len(ws.Events))
-			for j, ev := range ws.Events {
-				sp.Events[j] = obs.EventData{Name: ev.Name, OffsetNs: ev.OffsetNs, Attrs: ev.Attrs}
-			}
-		}
-		out[i] = sp
-	}
-	return out
+	resp.Spans = s.tracer.Collect(root.TraceID())
 }

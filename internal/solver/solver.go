@@ -119,7 +119,8 @@ func (o Options) Key() string {
 // Stats reports the work one solve performed. The JSON tags fix the wire
 // schema: stats cross process boundaries through the analysis daemon's
 // responses and its persistent result store, so the field names below are a
-// compatibility surface (Duration serializes as nanoseconds).
+// compatibility surface (Duration serializes as nanoseconds): renaming or
+// removing one requires a bump of the store's SchemaVersion.
 type Stats struct {
 	// Nodes is the number of branch-and-bound node relaxations solved (a
 	// node re-solved cold after numerical trouble counts twice).

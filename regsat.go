@@ -264,12 +264,9 @@ type (
 	// BatchResultCache is the batch engine's optional second-level result
 	// cache (BatchOptions.L2): results the in-memory memo has to compute
 	// are looked up in — and written through to — this layer, keyed by
-	// (structural fingerprint, register type, canonicalized options).
+	// (structural fingerprint, register type, canonicalized options), for
+	// acyclic RS results and periodic loop results alike.
 	BatchResultCache = batch.ResultCache
-	// BatchCyclicCache is the optional loop-kernel extension of
-	// BatchResultCache: an L2 cache that also implements it serves and
-	// stores periodic loop results (the rsd store does).
-	BatchCyclicCache = batch.CyclicCache
 	// ResultStore is the persistent on-disk BatchResultCache used by rsd:
 	// content-addressed, atomically written, corruption-tolerant, safe to
 	// share across processes.
